@@ -5,7 +5,8 @@
 /// runs against the committed baselines and flags >10% throughput drops.
 ///
 /// Where the pre-refactor implementation still exists in-binary (the
-/// string-set similarity path, the heap-node Json parser), each entry
+/// string-set similarity path, the heap-node JSON tree kept as the test
+/// oracle in src/testing/), each entry
 /// also measures it and reports the speedup — so the committed file
 /// *is* the before/after evidence, regenerable on any machine:
 ///
@@ -18,8 +19,9 @@
 ///                      into a vector of heap strings)
 ///   http_parse         bytes/sec through RequestParser (no in-binary
 ///                      legacy: the copying parser was replaced)
-///   json_decode_arena  MB/s through JsonDoc::Parse (legacy: Json::Parse
-///                      heap-node tree over identical input)
+///   json_decode_arena  MB/s through JsonDoc::Parse (legacy: the
+///                      testing::JsonTree heap-node oracle over identical
+///                      input)
 ///   codec_decode       ingest-chat decodes/sec end to end (JsonDoc +
 ///                      the one string materialization into core::Message)
 ///
@@ -41,9 +43,9 @@
 #include "bench/bench_util.h"
 #include "net/codec.h"
 #include "net/http.h"
-#include "net/json.h"
 #include "net/json_arena.h"
 #include "serving/api.h"
+#include "testing/json_tree.h"
 #include "text/streaming_similarity.h"
 #include "text/token_ids.h"
 #include "text/tokenizer.h"
@@ -358,7 +360,7 @@ Entry BenchJsonDecode(const std::string& body, int reps) {
   // Parsed-output sanity first.
   {
     auto doc = net::JsonDoc::Parse(body);
-    auto legacy = net::Json::Parse(body);
+    auto legacy = testing::JsonTree::Parse(body);
     if (!doc.ok() || !legacy.ok() ||
         doc.value().root().size() != legacy.value().AsObject().size()) {
       std::fprintf(stderr, "FATAL: json decode paths disagree\n");
@@ -379,7 +381,7 @@ Entry BenchJsonDecode(const std::string& body, int reps) {
   });
   e.baseline_legacy = BestThroughput(8, mb * chunk_reps, [&] {
     for (int r = 0; r < chunk_reps; ++r) {
-      auto tree = net::Json::Parse(body);
+      auto tree = testing::JsonTree::Parse(body);
       if (!tree.ok()) std::exit(1);
       sink += tree.value().AsObject().size();
     }

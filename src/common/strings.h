@@ -31,6 +31,16 @@ std::string FormatDouble(double x, int precision = 3);
 /// Renders seconds as "h:mm:ss".
 std::string FormatTimestamp(double seconds);
 
+/// Appends `s` as a double-quoted JSON string literal: `"` and `\`
+/// escaped, \n \r \t \b \f by name, other bytes below 0x20 as \u00XX,
+/// everything else (UTF-8 included) byte for byte.
+void AppendJsonString(std::string_view s, std::string& out);
+
+/// Appends `v` as a JSON number. Integral values below 9.2e18 in
+/// magnitude print as integers ("5", and "0" for -0.0) so ids round-trip
+/// exactly; everything else prints with 17 significant digits.
+void AppendJsonNumber(double v, std::string& out);
+
 }  // namespace lightor::common
 
 #endif  // LIGHTOR_COMMON_STRINGS_H_

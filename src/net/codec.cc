@@ -2,10 +2,30 @@
 
 #include <cmath>
 
-#include "net/json.h"
+#include "common/strings.h"
 #include "net/json_arena.h"
 
 namespace lightor::net {
+
+void AppendStringField(std::string& out, std::string_view key,
+                       std::string_view value) {
+  out += key;
+  common::AppendJsonString(value, out);
+}
+
+void AppendNumberField(std::string& out, std::string_view key, double value) {
+  out += key;
+  common::AppendJsonNumber(value, out);
+}
+
+void AppendIntField(std::string& out, std::string_view key, int64_t value) {
+  AppendNumberField(out, key, static_cast<double>(value));
+}
+
+void AppendBoolField(std::string& out, std::string_view key, bool value) {
+  out += key;
+  out += value ? "true" : "false";
+}
 
 namespace {
 
@@ -89,17 +109,16 @@ common::Result<sim::InteractionType> InteractionTypeFromName(
                                          std::string(name) + "\"");
 }
 
-Json HighlightToJson(const storage::HighlightRecord& rec) {
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(rec.video_id));
-  obj.Set("dot_index", Json::Int(rec.dot_index));
-  obj.Set("dot_position", Json::Number(rec.dot_position));
-  obj.Set("start", Json::Number(rec.start));
-  obj.Set("end", Json::Number(rec.end));
-  obj.Set("score", Json::Number(rec.score));
-  obj.Set("iteration", Json::Int(rec.iteration));
-  obj.Set("converged", Json::Bool(rec.converged));
-  return obj;
+void AppendHighlight(const storage::HighlightRecord& rec, std::string& out) {
+  AppendStringField(out, "{\"video_id\":", rec.video_id);
+  AppendIntField(out, ",\"dot_index\":", rec.dot_index);
+  AppendNumberField(out, ",\"dot_position\":", rec.dot_position);
+  AppendNumberField(out, ",\"start\":", rec.start);
+  AppendNumberField(out, ",\"end\":", rec.end);
+  AppendNumberField(out, ",\"score\":", rec.score);
+  AppendIntField(out, ",\"iteration\":", rec.iteration);
+  AppendBoolField(out, ",\"converged\":", rec.converged);
+  out += '}';
 }
 
 common::Result<storage::HighlightRecord> HighlightFromJson(JsonDoc::Ref obj) {
@@ -121,10 +140,46 @@ common::Result<storage::HighlightRecord> HighlightFromJson(JsonDoc::Ref obj) {
   return rec;
 }
 
-Json HighlightsToJson(const std::vector<storage::HighlightRecord>& records) {
-  Json arr = Json::MakeArray();
-  for (const auto& rec : records) arr.Append(HighlightToJson(rec));
-  return arr;
+/// `{"highlights":[...]` — the opening of every body that carries dots;
+/// the caller appends its other fields and the closing brace.
+void AppendHighlights(const std::vector<storage::HighlightRecord>& records,
+                      std::string& out) {
+  out += "{\"highlights\":[";
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendHighlight(records[i], out);
+  }
+  out += ']';
+}
+
+/// One {"video_id","messages":[...]} entry — a single ingest frame and
+/// each element of a batch frame.
+void AppendIngestChatRequest(const serving::IngestChatRequest& v,
+                             std::string& out) {
+  AppendStringField(out, "{\"video_id\":", v.video_id);
+  out += ",\"messages\":[";
+  for (size_t i = 0; i < v.messages.size(); ++i) {
+    const core::Message& message = v.messages[i];
+    if (i > 0) out += ',';
+    AppendNumberField(out, "{\"timestamp\":", message.timestamp);
+    AppendStringField(out, ",\"user\":", message.user);
+    AppendStringField(out, ",\"text\":", message.text);
+    out += '}';
+  }
+  out += "]}";
+}
+
+/// The IngestChatResponse fields without the closing brace: a batch
+/// entry appends its own fields after them.
+void AppendIngestChatResponseFields(const serving::IngestChatResponse& v,
+                                    std::string& out) {
+  AppendIntField(out, "{\"accepted\":", v.accepted);
+  AppendIntField(out, ",\"rejected\":", v.rejected);
+  AppendBoolField(out, ",\"provisional_published\":",
+                  v.provisional_published);
+  AppendIntField(out, ",\"snapshot_version\":", v.snapshot_version);
+  AppendBoolField(out, ",\"throttled\":", v.throttled);
+  AppendNumberField(out, ",\"retry_after_seconds\":", v.retry_after_seconds);
 }
 
 /// Decodes one {"video_id","messages":[...]} entry on the arena doc —
@@ -171,10 +226,11 @@ common::Result<std::vector<storage::HighlightRecord>> HighlightsFromJson(
 }  // namespace
 
 std::string EncodeJson(const serving::PageVisitRequest& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
-  if (!v.user.empty()) obj.Set("user", Json::Str(v.user));
-  return obj.Dump();
+  std::string out;
+  AppendStringField(out, "{\"video_id\":", v.video_id);
+  if (!v.user.empty()) AppendStringField(out, ",\"user\":", v.user);
+  out += '}';
+  return out;
 }
 
 common::Result<serving::PageVisitRequest> DecodePageVisitRequest(
@@ -191,13 +247,13 @@ common::Result<serving::PageVisitRequest> DecodePageVisitRequest(
 }
 
 std::string EncodeJson(const serving::PageVisitResponse& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("highlights", HighlightsToJson(v.highlights));
-  obj.Set("first_visit", Json::Bool(v.first_visit));
-  obj.Set("snapshot_version", Json::Int(static_cast<int64_t>(
-                                  v.snapshot_version)));
-  obj.Set("provisional", Json::Bool(v.provisional));
-  return obj.Dump();
+  std::string out;
+  AppendHighlights(v.highlights, out);
+  AppendBoolField(out, ",\"first_visit\":", v.first_visit);
+  AppendIntField(out, ",\"snapshot_version\":", v.snapshot_version);
+  AppendBoolField(out, ",\"provisional\":", v.provisional);
+  out += '}';
+  return out;
 }
 
 common::Result<serving::PageVisitResponse> DecodePageVisitResponse(
@@ -215,21 +271,22 @@ common::Result<serving::PageVisitResponse> DecodePageVisitResponse(
 }
 
 std::string EncodeJson(const serving::LogSessionRequest& v) {
-  Json events = Json::MakeArray();
-  for (const auto& event : v.events) {
-    Json e = Json::MakeObject();
-    e.Set("wall_time", Json::Number(event.wall_time));
-    e.Set("type", Json::Str(InteractionTypeName(event.type)));
-    e.Set("position", Json::Number(event.position));
-    e.Set("target", Json::Number(event.target));
-    events.Append(std::move(e));
+  std::string out;
+  AppendStringField(out, "{\"video_id\":", v.video_id);
+  AppendStringField(out, ",\"user\":", v.user);
+  AppendIntField(out, ",\"session_id\":", v.session_id);
+  out += ",\"events\":[";
+  for (size_t i = 0; i < v.events.size(); ++i) {
+    const sim::InteractionEvent& event = v.events[i];
+    if (i > 0) out += ',';
+    AppendNumberField(out, "{\"wall_time\":", event.wall_time);
+    AppendStringField(out, ",\"type\":", InteractionTypeName(event.type));
+    AppendNumberField(out, ",\"position\":", event.position);
+    AppendNumberField(out, ",\"target\":", event.target);
+    out += '}';
   }
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
-  obj.Set("user", Json::Str(v.user));
-  obj.Set("session_id", Json::Int(static_cast<int64_t>(v.session_id)));
-  obj.Set("events", std::move(events));
-  return obj.Dump();
+  out += "]}";
+  return out;
 }
 
 common::Result<serving::LogSessionRequest> DecodeLogSessionRequest(
@@ -262,18 +319,9 @@ common::Result<serving::LogSessionRequest> DecodeLogSessionRequest(
 }
 
 std::string EncodeJson(const serving::IngestChatRequest& v) {
-  Json messages = Json::MakeArray();
-  for (const auto& message : v.messages) {
-    Json m = Json::MakeObject();
-    m.Set("timestamp", Json::Number(message.timestamp));
-    m.Set("user", Json::Str(message.user));
-    m.Set("text", Json::Str(message.text));
-    messages.Append(std::move(m));
-  }
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
-  obj.Set("messages", std::move(messages));
-  return obj.Dump();
+  std::string out;
+  AppendIngestChatRequest(v, out);
+  return out;
 }
 
 common::Result<serving::IngestChatRequest> DecodeIngestChatRequest(
@@ -283,18 +331,6 @@ common::Result<serving::IngestChatRequest> DecodeIngestChatRequest(
 }
 
 namespace {
-
-Json IngestChatResponseToJson(const serving::IngestChatResponse& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("accepted", Json::Int(static_cast<int64_t>(v.accepted)));
-  obj.Set("rejected", Json::Int(static_cast<int64_t>(v.rejected)));
-  obj.Set("provisional_published", Json::Bool(v.provisional_published));
-  obj.Set("snapshot_version", Json::Int(static_cast<int64_t>(
-                                  v.snapshot_version)));
-  obj.Set("throttled", Json::Bool(v.throttled));
-  obj.Set("retry_after_seconds", Json::Number(v.retry_after_seconds));
-  return obj;
-}
 
 common::Result<serving::IngestChatResponse> IngestChatResponseFromJson(
     JsonDoc::Ref obj) {
@@ -327,7 +363,10 @@ common::Result<serving::IngestChatResponse> IngestChatResponseFromJson(
 }  // namespace
 
 std::string EncodeJson(const serving::IngestChatResponse& v) {
-  return IngestChatResponseToJson(v).Dump();
+  std::string out;
+  AppendIngestChatResponseFields(v, out);
+  out += '}';
+  return out;
 }
 
 common::Result<serving::IngestChatResponse> DecodeIngestChatResponse(
@@ -338,22 +377,13 @@ common::Result<serving::IngestChatResponse> DecodeIngestChatResponse(
 
 std::string EncodeIngestBatchRequest(
     const std::vector<serving::IngestChatRequest>& batches) {
-  Json arr = Json::MakeArray();
-  for (const auto& batch : batches) {
-    Json messages = Json::MakeArray();
-    for (const auto& message : batch.messages) {
-      Json m = Json::MakeObject();
-      m.Set("timestamp", Json::Number(message.timestamp));
-      m.Set("user", Json::Str(message.user));
-      m.Set("text", Json::Str(message.text));
-      messages.Append(std::move(m));
-    }
-    Json obj = Json::MakeObject();
-    obj.Set("video_id", Json::Str(batch.video_id));
-    obj.Set("messages", std::move(messages));
-    arr.Append(std::move(obj));
+  std::string out = "[";
+  for (size_t i = 0; i < batches.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendIngestChatRequest(batches[i], out);
   }
-  return arr.Dump();
+  out += ']';
+  return out;
 }
 
 common::Result<std::vector<serving::IngestChatRequest>>
@@ -380,19 +410,24 @@ DecodeIngestBatchRequest(std::string_view json) {
 
 std::string EncodeIngestBatchResponse(
     const std::vector<IngestBatchEntry>& entries) {
-  Json arr = Json::MakeArray();
-  for (const auto& entry : entries) {
-    Json obj = entry.status == 200 || entry.status == 429
-                   ? IngestChatResponseToJson(entry.response)
-                   : Json::MakeObject();
-    obj.Set("video_id", Json::Str(entry.video_id));
-    obj.Set("status", Json::Int(entry.status));
-    if (!entry.error.empty()) obj.Set("error", Json::Str(entry.error));
-    arr.Append(std::move(obj));
+  std::string out = "{\"entries\":[";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const IngestBatchEntry& entry = entries[i];
+    if (i > 0) out += ',';
+    // Applied and throttled entries lead with the single-frame response
+    // fields; every entry then names its channel and status.
+    const bool has_response = entry.status == 200 || entry.status == 429;
+    if (has_response) AppendIngestChatResponseFields(entry.response, out);
+    AppendStringField(out, has_response ? ",\"video_id\":" : "{\"video_id\":",
+                      entry.video_id);
+    AppendIntField(out, ",\"status\":", entry.status);
+    if (!entry.error.empty()) {
+      AppendStringField(out, ",\"error\":", entry.error);
+    }
+    out += '}';
   }
-  Json root = Json::MakeObject();
-  root.Set("entries", std::move(arr));
-  return root.Dump();
+  out += "]}";
+  return out;
 }
 
 common::Result<std::vector<IngestBatchEntry>> DecodeIngestBatchResponse(
@@ -426,12 +461,13 @@ common::Result<std::vector<IngestBatchEntry>> DecodeIngestBatchResponse(
 }
 
 std::string EncodeJson(const serving::FinalizeStreamRequest& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
+  std::string out;
+  AppendStringField(out, "{\"video_id\":", v.video_id);
   if (v.video_length > 0.0) {
-    obj.Set("video_length", Json::Number(v.video_length));
+    AppendNumberField(out, ",\"video_length\":", v.video_length);
   }
-  return obj.Dump();
+  out += '}';
+  return out;
 }
 
 common::Result<serving::FinalizeStreamRequest> DecodeFinalizeStreamRequest(
@@ -450,12 +486,12 @@ common::Result<serving::FinalizeStreamRequest> DecodeFinalizeStreamRequest(
 }
 
 std::string EncodeJson(const serving::FinalizeStreamResponse& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("highlights", HighlightsToJson(v.highlights));
-  obj.Set("snapshot_version", Json::Int(static_cast<int64_t>(
-                                  v.snapshot_version)));
-  obj.Set("video_length", Json::Number(v.video_length));
-  return obj.Dump();
+  std::string out;
+  AppendHighlights(v.highlights, out);
+  AppendIntField(out, ",\"snapshot_version\":", v.snapshot_version);
+  AppendNumberField(out, ",\"video_length\":", v.video_length);
+  out += '}';
+  return out;
 }
 
 common::Result<serving::FinalizeStreamResponse> DecodeFinalizeStreamResponse(
@@ -473,12 +509,12 @@ common::Result<serving::FinalizeStreamResponse> DecodeFinalizeStreamResponse(
 }
 
 std::string EncodeJson(const serving::GetHighlightsResponse& v) {
-  Json obj = Json::MakeObject();
-  obj.Set("highlights", HighlightsToJson(v.highlights));
-  obj.Set("snapshot_version", Json::Int(static_cast<int64_t>(
-                                  v.snapshot_version)));
-  obj.Set("provisional", Json::Bool(v.provisional));
-  return obj.Dump();
+  std::string out;
+  AppendHighlights(v.highlights, out);
+  AppendIntField(out, ",\"snapshot_version\":", v.snapshot_version);
+  AppendBoolField(out, ",\"provisional\":", v.provisional);
+  out += '}';
+  return out;
 }
 
 common::Result<serving::GetHighlightsResponse> DecodeGetHighlightsResponse(
@@ -495,28 +531,28 @@ common::Result<serving::GetHighlightsResponse> DecodeGetHighlightsResponse(
 }
 
 std::string EncodeJson(const serving::RefineReport& v) {
-  Json dots = Json::MakeArray();
-  for (const auto& dot : v.dots) {
-    Json d = Json::MakeObject();
-    d.Set("dot_index", Json::Int(dot.dot_index));
-    d.Set("status", Json::Str(dot.status.ToString()));
-    d.Set("updated", Json::Bool(dot.updated));
-    d.Set("type",
-          Json::Str(dot.type == core::DotType::kTypeI ? "I" : "II"));
-    d.Set("enough_plays", Json::Bool(dot.enough_plays));
-    d.Set("plays_used", Json::Int(dot.plays_used));
-    d.Set("old_position", Json::Number(dot.old_position));
-    d.Set("new_position", Json::Number(dot.new_position));
-    d.Set("converged", Json::Bool(dot.converged));
-    dots.Append(std::move(d));
+  std::string out;
+  AppendStringField(out, "{\"video_id\":", v.video_id);
+  AppendIntField(out, ",\"dots_updated\":", v.dots_updated);
+  AppendIntField(out, ",\"sessions_consumed\":", v.sessions_consumed);
+  out += ",\"dots\":[";
+  for (size_t i = 0; i < v.dots.size(); ++i) {
+    const serving::DotRefineOutcome& dot = v.dots[i];
+    if (i > 0) out += ',';
+    AppendIntField(out, "{\"dot_index\":", dot.dot_index);
+    AppendStringField(out, ",\"status\":", dot.status.ToString());
+    AppendBoolField(out, ",\"updated\":", dot.updated);
+    AppendStringField(out, ",\"type\":",
+                      dot.type == core::DotType::kTypeI ? "I" : "II");
+    AppendBoolField(out, ",\"enough_plays\":", dot.enough_plays);
+    AppendIntField(out, ",\"plays_used\":", dot.plays_used);
+    AppendNumberField(out, ",\"old_position\":", dot.old_position);
+    AppendNumberField(out, ",\"new_position\":", dot.new_position);
+    AppendBoolField(out, ",\"converged\":", dot.converged);
+    out += '}';
   }
-  Json obj = Json::MakeObject();
-  obj.Set("video_id", Json::Str(v.video_id));
-  obj.Set("dots_updated", Json::Int(v.dots_updated));
-  obj.Set("sessions_consumed", Json::Int(static_cast<int64_t>(
-                                   v.sessions_consumed)));
-  obj.Set("dots", std::move(dots));
-  return obj.Dump();
+  out += "]}";
+  return out;
 }
 
 }  // namespace lightor::net

@@ -1,6 +1,7 @@
 #ifndef LIGHTOR_NET_CODEC_H_
 #define LIGHTOR_NET_CODEC_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,6 +98,18 @@ std::string EncodeIngestBatchResponse(
     const std::vector<IngestBatchEntry>& entries);
 common::Result<std::vector<IngestBatchEntry>> DecodeIngestBatchResponse(
     std::string_view json);
+
+/// Field appenders for every JSON body the net and cluster layers write:
+/// plain appends in canonical field order, no intermediate tree. `key`
+/// carries its own separator and colon (",\"score\":", or "{\"video_id\":"
+/// for an object's first field), so an encoder reads as the schema it
+/// writes. Integer fields pass through double, as they always have on
+/// this wire (2^53 + 1 prints as 2^53).
+void AppendStringField(std::string& out, std::string_view key,
+                       std::string_view value);
+void AppendNumberField(std::string& out, std::string_view key, double value);
+void AppendIntField(std::string& out, std::string_view key, int64_t value);
+void AppendBoolField(std::string& out, std::string_view key, bool value);
 
 }  // namespace lightor::net
 

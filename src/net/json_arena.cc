@@ -40,8 +40,8 @@ std::string_view JsonDoc::Ref::key() const {
   return doc_->ViewOf(doc_->nodes_[index_].key);
 }
 
-/// Same grammar, limits, and error strings as the legacy Json::Parse
-/// recursive-descent parser — the only difference is what gets built.
+/// Same grammar, limits, and error strings as the recursive-descent test
+/// oracle testing::JsonTree — the only difference is what gets built.
 class ArenaJsonParser {
  public:
   explicit ArenaJsonParser(std::string_view text) : text_(text) {
@@ -153,7 +153,7 @@ class ArenaJsonParser {
       auto key = ParseString();
       if (!key.ok()) return key.status();
       // Duplicate-key scan over the decoded keys already linked — same
-      // O(members) walk (and the same error string) as the legacy tree.
+      // O(members) walk (and the same error string) as the oracle tree.
       for (uint32_t c = doc_.nodes_[node].first_child; c != kNone;
            c = doc_.nodes_[c].next_sibling) {
         if (doc_.ViewOf(doc_.nodes_[c].key) == doc_.ViewOf(key.value())) {
@@ -217,7 +217,7 @@ class ArenaJsonParser {
     }
     if (pos_ >= text_.size()) return Error("unterminated string");
     // Slow path: copy the clean prefix into the arena, then decode
-    // escapes with the legacy parser's exact validation.
+    // escapes with the oracle parser's exact validation.
     const uint32_t arena_start = static_cast<uint32_t>(doc_.arena_.size());
     doc_.arena_.append(text_.data() + start, pos_ - start);
     while (true) {
@@ -361,7 +361,7 @@ class ArenaJsonParser {
       }
     }
     // strtod needs NUL termination; the token is short, so a stack copy
-    // beats allocating the std::string the legacy parser built.
+    // beats allocating the std::string the oracle parser builds.
     char buf[64];
     const size_t len = pos_ - start;
     double v = 0.0;

@@ -10,9 +10,11 @@
 
 namespace lightor::net {
 
-/// Arena-parsed JSON document: the zero-copy decode path of the wire
-/// codec. Where `Json::Parse` builds a tree of heap nodes (a vector of
-/// pair<std::string, Json> per object, a std::string per string), a
+/// Arena-parsed JSON document: the one JSON reader of the product
+/// libraries (wire codec, /refine, router, cluster metrics, membership).
+/// Where the heap-node test oracle `testing::JsonTree`
+/// (src/testing/json_tree.h) builds a tree of heap nodes (a vector of
+/// pair<std::string, JsonTree> per object, a std::string per string), a
 /// JsonDoc is one flat node vector plus one byte arena:
 ///
 ///   * Strings and keys without escapes are string_views into the input
@@ -21,10 +23,10 @@ namespace lightor::net {
 ///   * Structure is first_child/next_sibling index links, so an object
 ///     with k members costs k contiguous nodes, not k string + Json pairs.
 ///
-/// Strictness is identical to Json::Parse — whole-input parse, duplicate
-/// object keys rejected, nesting capped, numbers finite, and the same
-/// "json: <what> at byte <pos>" error strings — so swapping a decoder
-/// onto JsonDoc changes no observable behavior.
+/// Strictness is identical to the oracle's — whole-input parse, duplicate
+/// object keys rejected, nesting capped at 64, numbers finite, and the
+/// same "json: <what> at byte <pos>" error strings; JsonParseTest
+/// (tests/net_json_test.cc) holds the two parsers to that.
 ///
 /// Lifetime: the input buffer must outlive the doc (request bodies live
 /// in the RequestParser buffer, which the server keeps stable while a

@@ -7,6 +7,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/strings.h"
+
 namespace lightor::obs {
 
 namespace {
@@ -82,36 +84,10 @@ void EmitTypeOnce(std::ostringstream& out, std::set<std::string>& typed,
   }
 }
 
-std::string JsonEscape(const std::string& value) {
+/// `value` as a quoted JSON string literal.
+std::string JsonString(std::string_view value) {
   std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  common::AppendJsonString(value, out);
   return out;
 }
 
@@ -121,7 +97,7 @@ void EmitJsonLabels(std::ostringstream& out, const LabelList& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out << ',';
     first = false;
-    out << '"' << JsonEscape(k) << "\":\"" << JsonEscape(v) << '"';
+    out << JsonString(k) << ':' << JsonString(v);
   }
   out << '}';
 }
@@ -170,7 +146,7 @@ std::string ExportJson(const RegistrySnapshot& snapshot) {
   for (size_t i = 0; i < snapshot.counters.size(); ++i) {
     const auto& c = snapshot.counters[i];
     if (i) out << ',';
-    out << "{\"name\":\"" << JsonEscape(c.name) << "\",\"labels\":";
+    out << "{\"name\":" << JsonString(c.name) << ",\"labels\":";
     EmitJsonLabels(out, c.labels);
     out << ",\"value\":" << c.value << '}';
   }
@@ -178,7 +154,7 @@ std::string ExportJson(const RegistrySnapshot& snapshot) {
   for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
     const auto& g = snapshot.gauges[i];
     if (i) out << ',';
-    out << "{\"name\":\"" << JsonEscape(g.name) << "\",\"labels\":";
+    out << "{\"name\":" << JsonString(g.name) << ",\"labels\":";
     EmitJsonLabels(out, g.labels);
     out << ",\"value\":" << FormatDouble(g.value) << '}';
   }
@@ -186,7 +162,7 @@ std::string ExportJson(const RegistrySnapshot& snapshot) {
   for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const auto& h = snapshot.histograms[i];
     if (i) out << ',';
-    out << "{\"name\":\"" << JsonEscape(h.name) << "\",\"labels\":";
+    out << "{\"name\":" << JsonString(h.name) << ",\"labels\":";
     EmitJsonLabels(out, h.labels);
     out << ",\"buckets\":[";
     for (size_t b = 0; b < h.bucket_counts.size(); ++b) {

@@ -3,26 +3,14 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace lightor::obs {
 
 namespace {
 
-void AppendJsonString(const std::string& value, std::string& out) {
-  out += '"';
-  for (char c : value) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
+using common::AppendJsonString;
 
 // CSV fields here are ids, route labels, and numbers — no embedded
 // commas or quotes in practice — but quote defensively anyway.

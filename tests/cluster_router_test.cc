@@ -13,6 +13,7 @@
 
 #include "cluster/metrics.h"
 #include "cluster/ring.h"
+#include "obs/export.h"
 #include "common/rng.h"
 #include "net/client.h"
 #include "net/codec.h"
@@ -389,11 +390,30 @@ TEST_F(ClusterRouterTest, ValidateRejectsBadOptions) {
   bad_backoff.retry_backoff_max_seconds = 0.1;
   EXPECT_FALSE(bad_backoff.Validate().ok());
 
-  EXPECT_FALSE(
-      HighlightRouter::Create(RouterOptions{.backends = {"nope"}}).ok());
+  RouterOptions bad_create;
+  bad_create.backends = {"nope"};
+  EXPECT_FALSE(HighlightRouter::Create(std::move(bad_create)).ok());
   RouterOptions missing_file;
   missing_file.membership_file = "/nonexistent/members.json";
   EXPECT_FALSE(HighlightRouter::Create(std::move(missing_file)).ok());
+}
+
+TEST(ClusterMetricsTest, ParseMetricsJsonRoundTripsEscapedLabels) {
+  // Label values carrying JSON-significant bytes survive the backend's
+  // export and the router's parse unchanged.
+  obs::RegistrySnapshot snapshot;
+  snapshot.counters.push_back(
+      {"lightor_test_total", {{"route", "a\"b\\c\nd"}, {"k", "v"}}, 7});
+  snapshot.gauges.push_back({"lightor_test_gauge", {}, 0.5});
+  auto parsed = ParseMetricsJson(obs::ExportJson(snapshot));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed.value().counters.size(), 1u);
+  EXPECT_EQ(parsed.value().counters[0].labels, snapshot.counters[0].labels);
+  EXPECT_EQ(parsed.value().counters[0].value, 7u);
+  ASSERT_EQ(parsed.value().gauges.size(), 1u);
+  EXPECT_TRUE(parsed.value().gauges[0].labels.empty());
+  EXPECT_EQ(parsed.value().gauges[0].value, 0.5);
+  EXPECT_EQ(obs::ExportJson(parsed.value()), obs::ExportJson(snapshot));
 }
 
 TEST_F(ClusterRouterTest, ThrottledIngestPassesThrough429ByteExact) {

@@ -107,6 +107,36 @@ TEST(CsvWriterTest, EscapesSpecialCells) {
   EXPECT_EQ(writer.rows_written(), 3u);
 }
 
+TEST(JsonAppendTest, StringEscapes) {
+  std::string out;
+  AppendJsonString("a\"b\\c\n\t\r\b\f\x01\x1f" "z", out);
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\n\\t\\r\\b\\f\\u0001\\u001fz\"");
+  out.clear();
+  AppendJsonString("\xC3\xA9\x7f", out);  // UTF-8 and DEL pass through
+  EXPECT_EQ(out, "\"\xC3\xA9\x7f\"");
+}
+
+TEST(JsonAppendTest, Numbers) {
+  const std::pair<double, const char*> cases[] = {
+      {0.0, "0"},
+      {-0.0, "0"},
+      {5.0, "5"},
+      {-42.0, "-42"},
+      {0.5, "0.5"},
+      {0.1, "0.10000000000000001"},
+      {1e-7, "9.9999999999999995e-08"},
+      {9007199254740993.0, "9007199254740992"},  // 2^53 + 1 rounds
+      {9.1e18, "9100000000000000000"},
+      {1e19, "1e+19"},
+      {-1e19, "-1e+19"},
+  };
+  for (const auto& [value, want] : cases) {
+    std::string out;
+    AppendJsonNumber(value, out);
+    EXPECT_EQ(out, want) << value;
+  }
+}
+
 TEST(TextTableTest, AlignsColumns) {
   TextTable table({"name", "value"});
   table.AddRow({"x", "1"});

@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.h"
+#include "obs/request_log.h"
 #include "obs/trace.h"
 
 namespace lightor::obs {
@@ -147,6 +149,36 @@ TEST(ObsTraceTest, ChromeDumpIsWellFormed) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_FALSE(in_string);
+}
+
+TEST(ObsTraceTest, ExportersEscapeControlBytesAsUnicode) {
+  // Every obs JSON writer shares the one escaper: a control byte comes
+  // out as \u00XX (not flattened to a space), quotes and backslashes
+  // escaped.
+  TraceEvent span;
+  span.name = std::string("span\x01\"") + "\\";
+  span.category = "cat\x1f";
+  const std::string trace = ChromeTraceJson({span});
+  EXPECT_NE(trace.find("\"name\":\"span\\u0001\\\"\\\\\""), std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"cat\":\"cat\\u001f\""), std::string::npos) << trace;
+
+  WideEvent event;
+  event.route = "/visit\x02";
+  event.method = "POST";
+  event.keep_reason = "slow\n";
+  const std::string wide = EncodeWideEventJson(event);
+  EXPECT_NE(wide.find("\"route\":\"/visit\\u0002\""), std::string::npos)
+      << wide;
+  EXPECT_NE(wide.find("\"keep_reason\":\"slow\\n\""), std::string::npos)
+      << wide;
+
+  RegistrySnapshot snapshot;
+  snapshot.counters.push_back(
+      {"lightor_test_total", {{"label", "a\x03" "b"}}, 1});
+  const std::string exported = ExportJson(snapshot);
+  EXPECT_NE(exported.find("{\"label\":\"a\\u0003b\"}"), std::string::npos)
+      << exported;
 }
 
 TEST(ObsTraceTest, TimerObservesIntoHistogram) {
