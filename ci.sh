@@ -265,9 +265,11 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
 fi
 
 # The storage engine and the fault-injection suite do the pointer- and
-# buffer-heavy work (log framing, torn-tail truncation, crash-point
-# enumeration), and the JSON reader and HTTP parser decode every
-# untrusted body: run their tests under AddressSanitizer + UBSan.
+# buffer-heavy work (log framing, batched chat records, torn-tail
+# truncation, crash-point enumeration), the serving tests drive the
+# first-visit crawl and the platform lookups it reads through, and the
+# JSON reader and HTTP parser decode every untrusted body: run their
+# tests under AddressSanitizer + UBSan.
 if [ "${SKIP_ASAN:-0}" != "1" ]; then
   echo "== address+ub sanitizer: storage + fault + recovery + wire tests ($ASAN_BUILD_DIR) =="
   cmake -B "$ASAN_BUILD_DIR" -S . -DLIGHTOR_SANITIZE=address,undefined \
@@ -276,9 +278,10 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
       storage_serialize_test storage_log_test storage_stores_test \
       storage_database_test storage_compaction_test \
       storage_webservice_test storage_faults_test storage_checkpoint_test \
-      serving_recovery_test property_test hotpath_diff_test \
+      serving_recovery_test serving_server_test serving_stream_test \
+      sim_platform_test property_test hotpath_diff_test \
       net_json_test net_http_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
-      -R '^(storage_|serving_recovery|property|hotpath_diff|net_json|net_http)'
+      -R '^(storage_|serving_recovery|serving_server_test$|serving_stream_test$|sim_platform_test$|property|hotpath_diff|net_json|net_http)'
 fi
 echo "ci: OK"

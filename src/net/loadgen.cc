@@ -81,9 +81,9 @@ class Worker {
       break;  // one live video per thread is plenty for the mix
     }
     if (!live_id_.empty()) {
-      const auto video = options_.platform->GetVideo(live_id_);
-      if (video.ok()) {
-        live_messages_ = sim::ToCoreMessages(video.value().chat);
+      if (const sim::RecordedVideo* video =
+              options_.platform->FindVideo(live_id_)) {
+        live_messages_ = sim::ToCoreMessages(video->chat);
       }
     }
   }
@@ -225,14 +225,14 @@ class Worker {
     ++result_.sessions;
     const double dot = cached->second[static_cast<size_t>(rng_.UniformInt(
         0, static_cast<int64_t>(cached->second.size()) - 1))];
-    const auto video = options_.platform->GetVideo(video_id);
-    if (!video.ok()) return;
+    const sim::RecordedVideo* video = options_.platform->FindVideo(video_id);
+    if (video == nullptr) return;
     serving::LogSessionRequest req;
     req.video_id = video_id;
     req.session_id = (static_cast<uint64_t>(index_) << 32) | next_session_++;
     req.user = "viewer" + std::to_string(req.session_id);
-    const auto session = viewer_sim_.SimulateSession(video.value().truth,
-                                                     dot, rng_, req.user);
+    const auto session =
+        viewer_sim_.SimulateSession(video->truth, dot, rng_, req.user);
     req.events = session.events;
     if (Send("session", "POST", "/session", EncodeJson(req)) != 200) return;
     result_.recorded.sessions.push_back(std::move(req));

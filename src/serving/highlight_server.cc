@@ -214,29 +214,38 @@ HighlightServer::VideoState* HighlightServer::FindOrLoadState(
 common::Result<HighlightServer::VideoState*> HighlightServer::InitializeVideo(
     Shard& shard, const std::string& video_id) {
   obs::ScopedSpan span("serving.InitializeVideo");
+  // The crawl runs outside db_mu_: fetching, encoding and checksumming a
+  // video's chat touch no shared state, and the Initializer's input is
+  // built from the fetched chat, not copied back out of the store. The
+  // mutex covers only the HasVideo checks, the one append + flush and the
+  // index insert (and, below, the highlight puts).
   std::vector<core::Message> messages;
-  double video_length = 0.0;
+  bool stored;
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
-    auto crawled = crawler_.EnsureChat(video_id);
-    if (!crawled.ok()) return crawled.status();
-    const auto& chat = options_.db->chat().GetByVideo(video_id);
-    messages.reserve(chat.size());
-    for (const auto& rec : chat) {
-      core::Message m;
-      m.timestamp = rec.timestamp;
-      m.user = rec.user;
-      m.text = rec.text;
-      video_length = std::max(video_length, rec.timestamp);
-      messages.push_back(std::move(m));
+    stored = crawler_.HasChat(video_id);
+    if (stored) {
+      messages = MessagesFromChat(options_.db->chat().GetByVideo(video_id));
     }
+  }
+  if (!stored) {
+    auto batch = crawler_.FetchChat(video_id);
+    if (!batch.ok()) return batch.status();
+    messages = MessagesFromChat(batch.value().records());
+    std::lock_guard<std::mutex> db_lock(db_mu_);
+    // False only if another writer stored this video's chat meanwhile:
+    // the same platform chat, so the messages above stand.
+    auto appended = crawler_.StoreChat(std::move(batch).value());
+    if (!appended.ok()) return appended.status();
   }
   // The platform knows the true video length; fall back to the last
   // message when metadata is unavailable. The platform is immutable, so
   // no lock is needed; the Initializer run happens outside db_mu_ so
   // first visits on other shards only serialize on the database proper.
-  if (auto video = options_.platform->GetVideo(video_id); video.ok()) {
-    video_length = video.value().truth.meta.length;
+  double video_length = messages.empty() ? 0.0 : messages.back().timestamp;
+  if (const sim::RecordedVideo* video =
+          options_.platform->FindVideo(video_id)) {
+    video_length = video->truth.meta.length;
   }
   auto dots =
       options_.lightor->Initialize(messages, video_length, options_.top_k);
@@ -537,14 +546,16 @@ common::Result<FinalizeStreamResponse> HighlightServer::FinalizeStream(
     it->second.stream_since_publish = 0;
   }
 
-  // Resolve the authoritative length: caller > platform metadata >
-  // stream watermark (the platform is immutable, no lock needed).
+  // Resolve the authoritative length: the caller's, else the platform's
+  // metadata, raised to the stream watermark — live chat can run past the
+  // recorded length, and a length behind the watermark would cut into
+  // closed windows (the platform is immutable, no lock needed).
   double video_length = req.video_length;
   if (video_length <= 0.0) {
-    if (auto video = options_.platform->GetVideo(req.video_id); video.ok()) {
-      video_length = video.value().truth.meta.length;
-    } else {
-      video_length = engine->stats().watermark;
+    video_length = engine->stats().watermark;
+    if (const sim::RecordedVideo* video =
+            options_.platform->FindVideo(req.video_id)) {
+      video_length = std::max(video_length, video->truth.meta.length);
     }
   }
   auto dots = engine->Finalize(video_length, options_.top_k);

@@ -1,11 +1,28 @@
 #include "serving/refine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "sim/viewer.h"
 
 namespace lightor::serving {
+
+std::vector<core::Message> MessagesFromChat(
+    const std::vector<storage::ChatRecord>& chat) {
+  std::vector<core::Message> messages;
+  messages.reserve(chat.size());
+  for (const auto& rec : chat) {
+    messages.push_back({rec.timestamp, rec.user, rec.text});
+  }
+  const auto by_time = [](const core::Message& a, const core::Message& b) {
+    return a.timestamp < b.timestamp;
+  };
+  if (!std::is_sorted(messages.begin(), messages.end(), by_time)) {
+    std::stable_sort(messages.begin(), messages.end(), by_time);
+  }
+  return messages;
+}
 
 sim::InteractionType ToSimType(storage::StoredInteraction event) {
   switch (event) {

@@ -18,6 +18,13 @@ namespace lightor::serving {
 /// construction (the differential test in tests/serving_server_test.cc
 /// asserts it end to end).
 
+/// The Initializer's input for a video's stored chat: the messages in the
+/// order `ChatStore::GetByVideo` returns them (stable-sorted by
+/// timestamp), so a first visit can build it from a crawl it has not
+/// stored yet and get exactly what a read back from the store would.
+std::vector<core::Message> MessagesFromChat(
+    const std::vector<storage::ChatRecord>& chat);
+
 /// Converts a stored interaction back to the sim event type.
 sim::InteractionType ToSimType(storage::StoredInteraction event);
 /// Converts a sim event type to its stable wire value.

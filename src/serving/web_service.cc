@@ -43,22 +43,14 @@ common::Result<PageVisitResponse> WebService::OnPageVisit(
   auto crawled = crawler_.EnsureChat(req.video_id);
   if (!crawled.ok()) return crawled.status();
 
-  const auto& chat = db.chat().GetByVideo(req.video_id);
-  std::vector<core::Message> messages;
-  messages.reserve(chat.size());
-  double video_length = 0.0;
-  for (const auto& rec : chat) {
-    core::Message m;
-    m.timestamp = rec.timestamp;
-    m.user = rec.user;
-    m.text = rec.text;
-    video_length = std::max(video_length, rec.timestamp);
-    messages.push_back(std::move(m));
-  }
+  const std::vector<core::Message> messages =
+      MessagesFromChat(db.chat().GetByVideo(req.video_id));
   // The platform knows the true video length; fall back to the last
   // message when metadata is unavailable.
-  if (auto video = options_.platform->GetVideo(req.video_id); video.ok()) {
-    video_length = video.value().truth.meta.length;
+  double video_length = messages.empty() ? 0.0 : messages.back().timestamp;
+  if (const sim::RecordedVideo* video =
+          options_.platform->FindVideo(req.video_id)) {
+    video_length = video->truth.meta.length;
   }
 
   auto dots =

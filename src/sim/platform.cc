@@ -72,21 +72,18 @@ common::Result<std::vector<std::string>> Platform::ListRecentVideoIds(
   return ids;
 }
 
-common::Result<RecordedVideo> Platform::GetVideo(
-    const std::string& video_id) const {
+const RecordedVideo* Platform::FindVideo(const std::string& video_id) const {
   auto it = videos_.find(video_id);
-  if (it == videos_.end()) {
-    return common::Status::NotFound("unknown video: " + video_id);
-  }
-  return it->second;
+  return it == videos_.end() ? nullptr : &it->second;
 }
 
-common::Result<ChatLog> Platform::FetchChat(const std::string& video_id) const {
-  auto it = videos_.find(video_id);
-  if (it == videos_.end()) {
+common::Result<RecordedVideo> Platform::GetVideo(
+    const std::string& video_id) const {
+  const RecordedVideo* video = FindVideo(video_id);
+  if (video == nullptr) {
     return common::Status::NotFound("unknown video: " + video_id);
   }
-  return it->second.chat;
+  return *video;
 }
 
 std::vector<std::string> Platform::AllVideoIds() const {

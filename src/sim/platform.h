@@ -57,11 +57,14 @@ class Platform {
   common::Result<std::vector<std::string>> ListRecentVideoIds(
       const std::string& channel_name, int n) const;
 
-  /// Full video record (NotFound for unknown ids).
-  common::Result<RecordedVideo> GetVideo(const std::string& video_id) const;
+  /// The video record without copying it, or null for unknown ids. The
+  /// platform is immutable, so the pointer stays valid for its lifetime.
+  /// This is also the chat-crawl API `storage::Crawler` reads.
+  const RecordedVideo* FindVideo(const std::string& video_id) const;
 
-  /// The chat-crawl API used by storage::Crawler.
-  common::Result<ChatLog> FetchChat(const std::string& video_id) const;
+  /// A copy of the full video record, chat included (NotFound for unknown
+  /// ids). Prefer `FindVideo` to read a field.
+  common::Result<RecordedVideo> GetVideo(const std::string& video_id) const;
 
   /// All video ids on the platform.
   std::vector<std::string> AllVideoIds() const;

@@ -27,24 +27,37 @@ Crawler::Crawler(const sim::Platform* platform, Database* db)
     : platform_(platform), db_(db) {}
 
 common::Result<bool> Crawler::EnsureChat(const std::string& video_id) {
-  if (db_->chat().HasVideo(video_id)) {
-    ChatCacheCounter(/*hit=*/true).Increment();
-    return false;
+  if (HasChat(video_id)) return false;
+  LIGHTOR_ASSIGN_OR_RETURN(ChatBatch batch, FetchChat(video_id));
+  return StoreChat(std::move(batch));
+}
+
+bool Crawler::HasChat(const std::string& video_id) {
+  const bool stored = db_->chat().HasVideo(video_id);
+  ChatCacheCounter(/*hit=*/stored).Increment();
+  return stored;
+}
+
+common::Result<ChatBatch> Crawler::FetchChat(
+    const std::string& video_id) const {
+  const sim::RecordedVideo* video = platform_->FindVideo(video_id);
+  if (video == nullptr) {
+    return common::Status::NotFound("unknown video: " + video_id);
   }
-  ChatCacheCounter(/*hit=*/false).Increment();
-  auto chat = platform_->FetchChat(video_id);
-  if (!chat.ok()) return chat.status();
-  for (const auto& msg : chat.value()) {
-    ChatRecord rec;
-    rec.video_id = video_id;
-    rec.timestamp = msg.timestamp;
-    rec.user = msg.user;
-    rec.text = msg.text;
-    LIGHTOR_RETURN_IF_ERROR(db_->PutChat(rec));
+  std::vector<ChatRecord> records;
+  records.reserve(video->chat.size());
+  for (const sim::ChatMessage& msg : video->chat) {
+    records.push_back({video_id, msg.timestamp, msg.user, msg.text});
   }
-  VideosCrawledCounter().Increment();
-  LIGHTOR_LOG(Debug) << "crawler: fetched " << chat.value().size()
+  LIGHTOR_LOG(Debug) << "crawler: fetched " << records.size()
                      << " chat messages for " << video_id;
+  return ChatBatch(video_id, std::move(records));
+}
+
+common::Result<bool> Crawler::StoreChat(ChatBatch batch) {
+  if (db_->chat().HasVideo(batch.video_id())) return false;
+  LIGHTOR_RETURN_IF_ERROR(db_->PutChatBatch(std::move(batch)));
+  VideosCrawledCounter().Increment();
   return true;
 }
 

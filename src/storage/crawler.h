@@ -29,7 +29,26 @@ class Crawler {
 
   /// Online crawl: ensures `video_id`'s chat is in the database. Returns
   /// true if a crawl happened, false if the chat was already stored.
+  /// `HasChat`, then `FetchChat` and `StoreChat` back to back.
   common::Result<bool> EnsureChat(const std::string& video_id);
+
+  /// The online crawl in its three steps, for a caller that serializes
+  /// database access with its own lock (`HighlightServer`'s db mutex) and
+  /// keeps the costly middle step outside it.
+  ///
+  /// `HasChat` (database read, under the caller's lock): whether the
+  /// video's chat is stored; counts a chat-cache hit or miss.
+  bool HasChat(const std::string& video_id);
+
+  /// `FetchChat` (no database access): calls the platform and encodes the
+  /// whole chat as one framed log record.
+  common::Result<ChatBatch> FetchChat(const std::string& video_id) const;
+
+  /// `StoreChat` (database write, under the caller's lock): re-checks
+  /// `HasVideo`, then appends and flushes the batch and moves its records
+  /// into the chat index. Returns false, storing nothing, when the chat
+  /// was stored since `HasChat`.
+  common::Result<bool> StoreChat(ChatBatch batch);
 
  private:
   const sim::Platform* platform_;

@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "storage/checkpoint.h"
+#include "storage/serialize.h"
 
 namespace lightor::storage {
 
@@ -140,9 +141,9 @@ common::Result<Database::OpenResult> Database::Open(
   } logs[] = {
       {db->chat_log_, db->chat_path_,
        [&](const std::vector<uint8_t>& bytes) {
-         auto rec = ChatRecord::Decode(bytes);
-         if (rec.ok()) db->chat_.Put(std::move(rec).value());
-         else if (replay_status.ok()) replay_status = rec.status();
+         auto recs = DecodeChatPayload(bytes);
+         if (recs.ok()) db->chat_.PutVideoChat(std::move(recs).value());
+         else if (replay_status.ok()) replay_status = recs.status();
        }},
       {db->interaction_log_, db->interaction_path_,
        [&](const std::vector<uint8_t>& bytes) {
@@ -251,6 +252,29 @@ common::Status Database::PutChat(const ChatRecord& record) {
   chat_.Put(record);
   ++lsn_;
   DbWritesCounter("chat").Increment();
+  return common::Status::OK();
+}
+
+ChatBatch::ChatBatch(std::string video_id, std::vector<ChatRecord> records)
+    : video_id_(std::move(video_id)), records_(std::move(records)) {
+  Encoder frame(AppendLog::kFrameHeaderSize +
+                ChatBatchPayloadSize(video_id_, records_));
+  frame.PutU32(0);  // length and CRC: filled in by SealFrame
+  frame.PutU32(0);
+  EncodeChatBatch(video_id_, records_, frame);
+  frame_ = AppendLog::SealFrame(std::move(frame));
+}
+
+common::Status Database::PutChatBatch(ChatBatch batch) {
+  if (batch.records_.empty()) return common::Status::OK();
+  if (auto st = chat_log_.AppendFrame(batch.frame_); !st.ok()) {
+    DbWriteErrorsCounter("chat").Increment();
+    return st;
+  }
+  const size_t messages = batch.records_.size();
+  chat_.PutVideoChat(std::move(batch.records_));
+  ++lsn_;
+  DbWritesCounter("chat").Increment(messages);
   return common::Status::OK();
 }
 

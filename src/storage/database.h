@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/checkpoint.h"
@@ -42,6 +43,28 @@ struct RecoveryStats {
   size_t records_replayed = 0;   ///< log-suffix records replayed
   uint64_t torn_bytes_truncated = 0;  ///< torn tail bytes cut off
   double wall_seconds = 0.0;     ///< end-to-end recovery wall time
+};
+
+/// One video's crawled chat, encoded and framed as a single chat-log
+/// record (see `kChatBatchTag`) when constructed — before whatever lock
+/// serializes database access is taken, so `Database::PutChatBatch` only
+/// writes finished bytes and moves the records into the index.
+class ChatBatch {
+ public:
+  /// `records` must all carry `video_id`. Builds the frame in one exactly
+  /// sized buffer with one CRC pass over it.
+  ChatBatch(std::string video_id, std::vector<ChatRecord> records);
+
+  const std::string& video_id() const { return video_id_; }
+  /// The messages in crawl order.
+  const std::vector<ChatRecord>& records() const { return records_; }
+
+ private:
+  friend class Database;
+
+  std::string video_id_;
+  std::vector<ChatRecord> records_;
+  std::vector<uint8_t> frame_;
 };
 
 /// The LIGHTOR backend database (Section VI): three append-only logs
@@ -83,6 +106,13 @@ class Database {
   Database& operator=(const Database&) = delete;
 
   common::Status PutChat(const ChatRecord& record);
+  /// Appends a whole video's chat as one log record, flushed like any
+  /// other, then moves the records into the chat index. All or nothing:
+  /// a failed append indexes nothing (and wedges the chat log), and after
+  /// a crash recovery finds either the whole batch or none of it. One LSN
+  /// per batch; `lightor_storage_db_writes_total{log="chat"}` still counts
+  /// messages. An empty batch writes nothing.
+  common::Status PutChatBatch(ChatBatch batch);
   common::Status PutInteraction(const InteractionRecord& record);
   common::Status PutHighlight(const HighlightRecord& record);
 

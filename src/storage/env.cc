@@ -26,6 +26,14 @@ class PosixWritableFile final : public WritableFile {
   ~PosixWritableFile() override { (void)Close(); }
 
   common::Status Append(const uint8_t* data, size_t size) override {
+    // An append as large as the buffer (a whole video's chat batch) skips
+    // the copy: drain what is buffered, then write the bytes straight
+    // through — one syscall for the record instead of one per buffer fill.
+    if (size >= kBufferSize) {
+      LIGHTOR_RETURN_IF_ERROR(Flush());
+      size_t done = 0;
+      return WriteAll(data, size, &done);
+    }
     while (size > 0) {
       const size_t room = kBufferSize - buffer_.size();
       const size_t take = size < room ? size : room;
@@ -40,23 +48,12 @@ class PosixWritableFile final : public WritableFile {
   }
 
   common::Status Flush() override {
-    if (fd_ < 0) {
-      return common::Status::FailedPrecondition("write to closed file: " +
-                                                path_);
-    }
     size_t done = 0;
-    while (done < buffer_.size()) {
-      const ssize_t written =
-          ::write(fd_, buffer_.data() + done, buffer_.size() - done);
-      if (written < 0) {
-        if (errno == EINTR) continue;  // interrupted: retry
-        // Drop the prefix that did land, so a retry cannot write it twice.
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + static_cast<ptrdiff_t>(done));
-        return common::ErrnoToStatus(errno, "write " + path_);
-      }
-      // Short writes just advance and loop.
-      done += static_cast<size_t>(written);
+    if (auto st = WriteAll(buffer_.data(), buffer_.size(), &done); !st.ok()) {
+      // Drop the prefix that did land, so a retry cannot write it twice.
+      buffer_.erase(buffer_.begin(),
+                    buffer_.begin() + static_cast<ptrdiff_t>(done));
+      return st;
     }
     buffer_.clear();
     return common::Status::OK();
@@ -83,6 +80,25 @@ class PosixWritableFile final : public WritableFile {
   void DiscardBuffered() override { buffer_.clear(); }
 
  private:
+  /// Writes `size` bytes to the kernel, retrying interrupted and short
+  /// writes; `done` receives how many landed, also on error.
+  common::Status WriteAll(const uint8_t* data, size_t size, size_t* done) {
+    if (fd_ < 0) {
+      return common::Status::FailedPrecondition("write to closed file: " +
+                                                path_);
+    }
+    while (*done < size) {
+      const ssize_t written = ::write(fd_, data + *done, size - *done);
+      if (written < 0) {
+        if (errno == EINTR) continue;  // interrupted: retry
+        return common::ErrnoToStatus(errno, "write " + path_);
+      }
+      // Short writes just advance and loop.
+      *done += static_cast<size_t>(written);
+    }
+    return common::Status::OK();
+  }
+
   static constexpr size_t kBufferSize = 64 * 1024;
 
   int fd_;

@@ -81,7 +81,7 @@ common::Result<AppendLog::ReplayStats> AppendLog::OpenAndReplay(
   return stats;
 }
 
-common::Status AppendLog::Append(const std::vector<uint8_t>& payload) {
+common::Status AppendLog::CheckWritable() const {
   if (file_ == nullptr) {
     return common::Status::FailedPrecondition("AppendLog: not open");
   }
@@ -90,14 +90,36 @@ common::Status AppendLog::Append(const std::vector<uint8_t>& payload) {
         "AppendLog: wedged by an earlier I/O error, reopen to recover: " +
         path_);
   }
-  Encoder frame;
-  frame.PutU32(static_cast<uint32_t>(payload.size()));
-  frame.PutU32(Crc32(payload.data(), payload.size()));
-  if (auto st = file_->Append(frame.bytes()); !st.ok()) {
+  return common::Status::OK();
+}
+
+common::Status AppendLog::Append(const std::vector<uint8_t>& payload) {
+  LIGHTOR_RETURN_IF_ERROR(CheckWritable());
+  Encoder header(kFrameHeaderSize);
+  header.PutU32(static_cast<uint32_t>(payload.size()));
+  header.PutU32(Crc32(payload.data(), payload.size()));
+  if (auto st = file_->Append(header.bytes()); !st.ok()) {
     return Wedge(std::move(st));
   }
-  if (!payload.empty()) {
-    if (auto st = file_->Append(payload); !st.ok()) {
+  return AppendBytes(payload.data(), payload.size());
+}
+
+std::vector<uint8_t> AppendLog::SealFrame(Encoder frame) {
+  const size_t payload_size = frame.size() - kFrameHeaderSize;
+  frame.SetU32At(0, static_cast<uint32_t>(payload_size));
+  frame.SetU32At(4, Crc32(frame.bytes().data() + kFrameHeaderSize,
+                          payload_size));
+  return frame.Release();
+}
+
+common::Status AppendLog::AppendFrame(const std::vector<uint8_t>& frame) {
+  LIGHTOR_RETURN_IF_ERROR(CheckWritable());
+  return AppendBytes(frame.data(), frame.size());
+}
+
+common::Status AppendLog::AppendBytes(const uint8_t* data, size_t size) {
+  if (size > 0) {
+    if (auto st = file_->Append(data, size); !st.ok()) {
       return Wedge(std::move(st));
     }
   }
@@ -106,14 +128,7 @@ common::Status AppendLog::Append(const std::vector<uint8_t>& payload) {
 }
 
 common::Status AppendLog::Flush() {
-  if (file_ == nullptr) {
-    return common::Status::FailedPrecondition("AppendLog: not open");
-  }
-  if (wedged_) {
-    return common::Status::IoError(
-        "AppendLog: wedged by an earlier I/O error, reopen to recover: " +
-        path_);
-  }
+  LIGHTOR_RETURN_IF_ERROR(CheckWritable());
   // Span only when a request trace is active: every append can flush
   // (flush_each_), and untraced flushes would churn the global ring.
   std::optional<obs::ScopedSpan> span;
@@ -127,14 +142,7 @@ common::Status AppendLog::Flush() {
 }
 
 common::Status AppendLog::Sync() {
-  if (file_ == nullptr) {
-    return common::Status::FailedPrecondition("AppendLog: not open");
-  }
-  if (wedged_) {
-    return common::Status::IoError(
-        "AppendLog: wedged by an earlier I/O error, reopen to recover: " +
-        path_);
-  }
+  LIGHTOR_RETURN_IF_ERROR(CheckWritable());
   std::optional<obs::ScopedSpan> span;
   if (obs::CurrentTraceContext().valid()) {
     span.emplace("storage.AppendLog.Sync");

@@ -24,6 +24,60 @@ common::Result<ChatRecord> ChatRecord::Decode(
   return rec;
 }
 
+size_t ChatBatchPayloadSize(const std::string& video_id,
+                            const std::vector<ChatRecord>& records) {
+  size_t size = 4 + (4 + video_id.size()) + 4;
+  for (const ChatRecord& rec : records) {
+    size += 8 + (4 + rec.user.size()) + (4 + rec.text.size());
+  }
+  return size;
+}
+
+void EncodeChatBatch(const std::string& video_id,
+                     const std::vector<ChatRecord>& records, Encoder& enc) {
+  enc.PutU32(kChatBatchTag);
+  enc.PutString(video_id);
+  enc.PutU32(static_cast<uint32_t>(records.size()));
+  for (const ChatRecord& rec : records) {
+    enc.PutDouble(rec.timestamp);
+    enc.PutString(rec.user);
+    enc.PutString(rec.text);
+  }
+}
+
+common::Result<std::vector<ChatRecord>> DecodeChatPayload(
+    const std::vector<uint8_t>& bytes) {
+  Decoder dec(bytes);
+  std::vector<ChatRecord> records;
+  if (dec.GetU32().value_or(0) != kChatBatchTag) {
+    LIGHTOR_ASSIGN_OR_RETURN(ChatRecord rec, ChatRecord::Decode(bytes));
+    records.push_back(std::move(rec));
+    return records;
+  }
+  std::string video_id;
+  LIGHTOR_ASSIGN_OR_RETURN(video_id, dec.GetString());
+  uint32_t count = 0;
+  LIGHTOR_ASSIGN_OR_RETURN(count, dec.GetU32());
+  // Each message takes at least 16 bytes (timestamp + two lengths), so a
+  // count the payload cannot hold is corruption, not a huge reserve.
+  if (count > dec.remaining() / 16) {
+    return common::Status::Corruption("chat batch: count overruns payload");
+  }
+  records.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    ChatRecord rec;
+    rec.video_id = video_id;
+    LIGHTOR_ASSIGN_OR_RETURN(rec.timestamp, dec.GetDouble());
+    LIGHTOR_ASSIGN_OR_RETURN(rec.user, dec.GetString());
+    LIGHTOR_ASSIGN_OR_RETURN(rec.text, dec.GetString());
+    records.push_back(std::move(rec));
+  }
+  if (!dec.exhausted()) {
+    return common::Status::Corruption("chat batch: trailing bytes");
+  }
+  return records;
+}
+
 std::vector<uint8_t> InteractionRecord::Encode() const {
   Encoder enc;
   enc.PutString(video_id);

@@ -21,6 +21,34 @@ struct ChatRecord {
   friend bool operator==(const ChatRecord&, const ChatRecord&) = default;
 };
 
+class Encoder;
+
+/// A whole video's chat as one chat-log payload, the crawler's unit of
+/// write: a crawl is one append, so after a crash recovery finds either
+/// all of the video's chat or none of it.
+///
+///   [u32 kChatBatchTag][string video_id][u32 count]
+///   count x [f64 timestamp][string user][string text]
+///
+/// A single-message payload (`ChatRecord::Encode`) starts with the u32
+/// length of its video id, which is never the tag: such a string would
+/// need a payload past the 4 GiB a frame's u32 length can describe.
+inline constexpr uint32_t kChatBatchTag = 0xFFFFFFFFu;
+
+/// Encoded size of the batch payload of `records`, every one of which
+/// belongs to `video_id`.
+size_t ChatBatchPayloadSize(const std::string& video_id,
+                            const std::vector<ChatRecord>& records);
+
+/// Appends that payload (exactly `ChatBatchPayloadSize` bytes) to `enc`.
+void EncodeChatBatch(const std::string& video_id,
+                     const std::vector<ChatRecord>& records, Encoder& enc);
+
+/// Decodes one chat-log payload of either kind into its records: one for
+/// a single-message payload, the whole video's chat for a batch.
+common::Result<std::vector<ChatRecord>> DecodeChatPayload(
+    const std::vector<uint8_t>& bytes);
+
 /// Frontend interaction kinds (mirrors sim::InteractionType; stored as a
 /// stable wire value).
 enum class StoredInteraction : uint8_t {

@@ -1,6 +1,7 @@
 #include "storage/stores.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/metrics.h"
 
@@ -36,6 +37,28 @@ void ChatStore::Put(ChatRecord record) {
   }
   list.push_back(std::move(record));
   ++total_;
+}
+
+void ChatStore::PutVideoChat(std::vector<ChatRecord> records) {
+  if (records.empty()) return;
+  const std::string video_id = records.front().video_id;
+  auto& list = by_video_[video_id];
+  const auto by_time = [](const ChatRecord& a, const ChatRecord& b) {
+    return a.timestamp < b.timestamp;
+  };
+  if ((!list.empty() && list.back().timestamp > records.front().timestamp) ||
+      !std::is_sorted(records.begin(), records.end(), by_time)) {
+    dirty_[video_id] = true;  // sticky until the next sort
+  }
+  total_ += records.size();
+  if (list.empty()) {
+    list = std::move(records);
+    return;
+  }
+  // Geometric growth: replaying a log written one message per record
+  // lands here once per message.
+  list.insert(list.end(), std::make_move_iterator(records.begin()),
+              std::make_move_iterator(records.end()));
 }
 
 bool ChatStore::HasVideo(const std::string& video_id) const {

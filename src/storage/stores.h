@@ -18,6 +18,11 @@ class ChatStore {
  public:
   void Put(ChatRecord record);
 
+  /// Appends `records`, all of one video, in one step: the video's list
+  /// takes the vector itself when empty, so its capacity is the caller's
+  /// exact size.
+  void PutVideoChat(std::vector<ChatRecord> records);
+
   bool HasVideo(const std::string& video_id) const;
 
   /// All messages of a video, sorted by timestamp.

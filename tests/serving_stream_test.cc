@@ -251,6 +251,55 @@ TEST_F(ServingStreamTest, FinalizeWithBadLengthHandsTheStreamBack) {
   EXPECT_TRUE(server.value()->FinalizeStream(freq).ok());
 }
 
+// Live chat can run past the platform's recorded length. Without a length
+// from the caller, /finalize resolves max(platform length, watermark), so
+// such a stream finalizes on the first try and serves the DetectBatch
+// dots at that length.
+TEST_F(ServingStreamTest, FinalizeWithoutLengthCoversChatPastPlatformLength) {
+  auto db = OpenDb(dir_);
+  auto server = HighlightServer::Create(BaseOptions(db.get()));
+  ASSERT_TRUE(server.ok());
+
+  const double platform_length =
+      platform_->FindVideo(video_id_)->truth.meta.length;
+  auto messages = ChatOf(video_id_);
+  for (int i = 1; i <= 40; ++i) {
+    messages.push_back({platform_length + 3.0 * i, "late" + std::to_string(i),
+                        "still watching the post-game " + std::to_string(i)});
+  }
+  const double watermark = messages.back().timestamp;
+  const auto total = StreamAll(*server.value(), video_id_, messages);
+  ASSERT_EQ(total.accepted, messages.size());
+
+  FinalizeStreamRequest freq;
+  freq.video_id = video_id_;  // no length: the server resolves it
+  auto fin = server.value()->FinalizeStream(freq);
+  ASSERT_TRUE(fin.ok()) << fin.status().ToString();
+  EXPECT_EQ(fin.value().video_length, watermark);
+
+  const size_t top_k = BaseOptions(db.get()).top_k;
+  const auto dots =
+      lightor_->initializer().DetectBatch(messages, watermark, top_k);
+  const double fallback = lightor_->options().extractor.fallback_length;
+  std::vector<storage::HighlightRecord> expected;
+  for (size_t i = 0; i < dots.size(); ++i) {
+    storage::HighlightRecord rec;
+    rec.video_id = video_id_;
+    rec.dot_index = static_cast<int32_t>(i);
+    rec.dot_position = dots[i].position;
+    rec.start = dots[i].position;
+    rec.end = dots[i].position + fallback;
+    rec.score = dots[i].score;
+    expected.push_back(std::move(rec));
+  }
+  ASSERT_FALSE(expected.empty());
+  ExpectSameRecords(fin.value().highlights, expected);
+  auto got = server.value()->GetHighlights(video_id_);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got.value().provisional);
+  ExpectSameRecords(got.value().highlights, expected);
+}
+
 TEST_F(ServingStreamTest, RefineRejectedWhileVideoIsLive) {
   auto db = OpenDb(dir_);
   auto opts = BaseOptions(db.get());

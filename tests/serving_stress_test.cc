@@ -175,6 +175,149 @@ TEST(ServingStressTest, ConcurrentMixedTrafficIsLossless) {
   std::filesystem::remove_all(dir);
 }
 
+/// First visits crawl outside the db mutex: cold visits of distinct videos
+/// on different shards run at once, beside LogSession traffic on a warm
+/// video. Every cold visit must serve the DetectBatch dots and store the
+/// whole chat, and no session may be lost. ci.sh runs this under TSan,
+/// which checks the narrower lock scope for races.
+TEST(ServingStressTest, ColdVisitsOnDistinctShardsRaceSessions) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "lightor_serving_cold_visits")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  sim::Platform::Options popts;
+  popts.num_channels = 3;
+  popts.videos_per_channel = 3;
+  popts.seed = 83;
+  const sim::Platform platform(popts);
+
+  const auto corpus = sim::MakeCorpus(sim::GameType::kDota2, 1, 84);
+  core::TrainingVideo tv;
+  tv.messages = sim::ToCoreMessages(corpus[0].chat);
+  tv.video_length = corpus[0].truth.meta.length;
+  for (const auto& h : corpus[0].truth.highlights) {
+    tv.highlights.push_back(h.span);
+  }
+  core::Lightor lightor;
+  ASSERT_TRUE(lightor.TrainInitializer({tv}).ok());
+
+  auto opened = storage::DB::Open(storage::OpenOptions(dir));
+  ASSERT_TRUE(opened.ok());
+  auto db = std::move(opened.value().db);
+
+  ServerOptions opts;
+  opts.platform = Borrow(&platform);
+  opts.db = Borrow(db.get());
+  opts.lightor = Borrow<const core::Lightor>(&lightor);
+  opts.num_shards = 16;
+  opts.refine_batch_sessions = 0;  // sessions only; no background refine
+  auto created = HighlightServer::Create(opts);
+  ASSERT_TRUE(created.ok());
+  HighlightServer& server = *created.value();
+
+  // One warm video takes the sessions; the cold ones sit on distinct
+  // shards (the server shards by std::hash of the id), so their first
+  // visits share no shard lock and meet only on the db mutex.
+  const auto ids = platform.AllVideoIds();
+  const std::string warm_id = ids[0];
+  ASSERT_TRUE(server.OnPageVisit({warm_id, "warm"}).ok());
+  const size_t warm_shard = std::hash<std::string>{}(warm_id) % opts.num_shards;
+  std::vector<std::string> cold;
+  std::unordered_set<size_t> shards_taken{warm_shard};
+  for (const auto& id : ids) {
+    if (shards_taken.insert(std::hash<std::string>{}(id) % opts.num_shards)
+            .second) {
+      cold.push_back(id);
+    }
+  }
+  ASSERT_GE(cold.size(), 4u);
+  cold.resize(4);
+
+  std::vector<std::vector<storage::HighlightRecord>> oracle;
+  const double fallback = lightor.options().extractor.fallback_length;
+  for (const auto& id : cold) {
+    const sim::RecordedVideo* video = platform.FindVideo(id);
+    const auto dots = lightor.initializer().DetectBatch(
+        sim::ToCoreMessages(video->chat), video->truth.meta.length,
+        opts.top_k);
+    std::vector<storage::HighlightRecord> records;
+    for (size_t i = 0; i < dots.size(); ++i) {
+      storage::HighlightRecord rec;
+      rec.video_id = id;
+      rec.dot_index = static_cast<int32_t>(i);
+      rec.dot_position = dots[i].position;
+      rec.start = dots[i].position;
+      rec.end = dots[i].position + fallback;
+      rec.score = dots[i].score;
+      records.push_back(std::move(rec));
+    }
+    oracle.push_back(std::move(records));
+  }
+
+  const auto warm_dots = server.GetHighlights(warm_id).value().highlights;
+  ASSERT_FALSE(warm_dots.empty());
+  const sim::RecordedVideo* warm_video = platform.FindVideo(warm_id);
+  std::atomic<bool> go{false};
+  std::atomic<int> visits_left{static_cast<int>(cold.size())};
+  std::atomic<uint64_t> events_logged{0};
+  std::atomic<uint64_t> next_session_id{0};
+  std::atomic<int> failures{0};
+  std::vector<PageVisitResponse> visits(cold.size());
+
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < cold.size(); ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      auto visit = server.OnPageVisit({cold[i], "cold"});
+      if (visit.ok()) {
+        visits[i] = std::move(visit).value();
+      } else {
+        ++failures;
+      }
+      --visits_left;
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      sim::ViewerSimulator viewers;
+      common::Rng rng(3000 + static_cast<uint64_t>(t));
+      while (!go.load()) std::this_thread::yield();
+      // At least a few sessions each, then as many as the visits allow.
+      for (int n = 0; n < 8 || visits_left.load() > 0; ++n) {
+        const auto session = viewers.SimulateSession(
+            warm_video->truth,
+            warm_dots[static_cast<size_t>(n) % warm_dots.size()].dot_position,
+            rng, "s" + std::to_string(t));
+        LogSessionRequest log;
+        log.video_id = warm_id;
+        log.user = session.user;
+        log.session_id = 1 + next_session_id.fetch_add(1);
+        log.events = session.events;
+        if (server.LogSession(log).ok()) {
+          events_logged.fetch_add(log.events.size());
+        } else {
+          ++failures;
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  for (size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_TRUE(visits[i].first_visit) << cold[i];
+    EXPECT_EQ(visits[i].highlights, oracle[i]) << cold[i];
+    EXPECT_EQ(db->chat().GetByVideo(cold[i]).size(),
+              platform.FindVideo(cold[i])->chat.size())
+        << cold[i];
+  }
+  server.Shutdown();
+  EXPECT_EQ(db->interactions().TotalRecords(), events_logged.load());
+  std::filesystem::remove_all(dir);
+}
+
 /// Shutdown while clients are still sending: late requests are rejected
 /// with FailedPrecondition, nothing crashes, and accepted sessions are
 /// still never lost.

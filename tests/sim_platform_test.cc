@@ -44,11 +44,13 @@ TEST(PlatformTest, GetVideoAndChat) {
   ASSERT_TRUE(video.ok());
   EXPECT_GT(video.value().num_viewers, 0);
   EXPECT_FALSE(video.value().chat.empty());
-  auto chat = platform.FetchChat(ids[0]);
-  ASSERT_TRUE(chat.ok());
-  EXPECT_EQ(chat.value().size(), video.value().chat.size());
+  const RecordedVideo* found = platform.FindVideo(ids[0]);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found, platform.FindVideo(ids[0]));  // a view, not a copy
+  EXPECT_EQ(found->chat.size(), video.value().chat.size());
+  EXPECT_EQ(found->num_viewers, video.value().num_viewers);
   EXPECT_TRUE(platform.GetVideo("missing").status().IsNotFound());
-  EXPECT_TRUE(platform.FetchChat("missing").status().IsNotFound());
+  EXPECT_EQ(platform.FindVideo("missing"), nullptr);
 }
 
 TEST(PlatformTest, PopularChannelsHaveDenserChat) {

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "core/lightor.h"
 #include "obs/metrics.h"
+#include "serving/highlight_server.h"
+#include "sim/bridge.h"
+#include "sim/corpus.h"
+#include "sim/platform.h"
+#include "storage/crawler.h"
 #include "storage/database.h"
 #include "storage/log.h"
 #include "storage/record.h"
@@ -403,6 +410,223 @@ TEST(DatabaseFaults, FailedPutSurfacesErrorAndCountsMetric) {
 
   // The store was not polluted with the rejected record.
   EXPECT_EQ(db->interactions().SessionsForVideo("v").size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One crawl is all or nothing: a first visit's chat is a single log record.
+// ---------------------------------------------------------------------------
+
+/// One recorded video of several thousand messages and a trained pipeline,
+/// shared by every test of the suite (training is the slow part).
+class CrawlAtomicityTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    sim::Platform::Options popts;
+    popts.num_channels = 1;
+    popts.videos_per_channel = 1;
+    popts.seed = 15;
+    popts.min_rate_scale = popts.max_rate_scale = 2.0;
+    platform_ = new sim::Platform(popts);
+    video_id_ = new std::string(platform_->AllVideoIds()[0]);
+
+    const auto corpus = sim::MakeCorpus(sim::GameType::kDota2, 1, 16);
+    core::TrainingVideo tv;
+    tv.messages = sim::ToCoreMessages(corpus[0].chat);
+    tv.video_length = corpus[0].truth.meta.length;
+    for (const auto& h : corpus[0].truth.highlights) {
+      tv.highlights.push_back(h.span);
+    }
+    lightor_ = new core::Lightor();
+    ASSERT_TRUE(lightor_->TrainInitializer({tv}).ok());
+  }
+
+  static void TearDownTestSuite() {
+    delete lightor_;
+    delete video_id_;
+    delete platform_;
+  }
+
+  static const sim::RecordedVideo& Video() {
+    return *platform_->FindVideo(*video_id_);
+  }
+
+  /// The chat a complete crawl stores, as `GetByVideo` returns it.
+  static std::vector<ChatRecord> FullChat() {
+    std::vector<ChatRecord> chat;
+    for (const auto& msg : Video().chat) {
+      chat.push_back({*video_id_, msg.timestamp, msg.user, msg.text});
+    }
+    std::stable_sort(chat.begin(), chat.end(),
+                     [](const ChatRecord& a, const ChatRecord& b) {
+                       return a.timestamp < b.timestamp;
+                     });
+    return chat;
+  }
+
+  /// The red dots `DetectBatch` places on the video, as records.
+  static std::vector<HighlightRecord> OracleDots(size_t top_k) {
+    const double length = Video().truth.meta.length;
+    const auto dots = lightor_->initializer().DetectBatch(
+        sim::ToCoreMessages(Video().chat), length, top_k);
+    const double fallback = lightor_->options().extractor.fallback_length;
+    std::vector<HighlightRecord> records;
+    for (size_t i = 0; i < dots.size(); ++i) {
+      HighlightRecord rec;
+      rec.video_id = *video_id_;
+      rec.dot_index = static_cast<int32_t>(i);
+      rec.dot_position = dots[i].position;
+      rec.start = dots[i].position;
+      rec.end = dots[i].position + fallback;
+      rec.score = dots[i].score;
+      records.push_back(std::move(rec));
+    }
+    return records;
+  }
+
+  static std::unique_ptr<serving::HighlightServer> MakeServer(Database* db) {
+    serving::ServerOptions opts;
+    opts.platform = serving::Borrow<const sim::Platform>(platform_);
+    opts.db = serving::Borrow(db);
+    opts.lightor = serving::Borrow<const core::Lightor>(lightor_);
+    opts.refine_batch_sessions = 0;
+    auto server = serving::HighlightServer::Create(opts);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    return std::move(server).value();
+  }
+
+  /// A first visit after recovery serves exactly the DetectBatch dots,
+  /// crawling again if the crash took the chat.
+  static void ExpectFirstVisitServesOracle(Database* db, uint64_t k) {
+    auto server = MakeServer(db);
+    auto visit = server->OnPageVisit({*video_id_, "viewer"});
+    ASSERT_TRUE(visit.ok()) << "crash@" << k << ": "
+                            << visit.status().ToString();
+    EXPECT_TRUE(visit.value().first_visit) << "crash@" << k;
+    EXPECT_EQ(visit.value().highlights, OracleDots(serving::ServerOptions{}.top_k))
+        << "crash@" << k;
+    EXPECT_EQ(db->chat().GetByVideo(*video_id_), FullChat()) << "crash@" << k;
+  }
+
+  /// Crashes at every I/O point inside one `EnsureChat`, restarts under
+  /// `model`, and checks the video holds none or all of its chat.
+  static void EnumerateCrawlCrashes(bool sync_on_flush, ft::CrashModel model) {
+    OpenOptions options;
+    options.directory = "db";
+    options.sync_on_flush = sync_on_flush;
+    uint64_t first = 0, last = 0;
+    {
+      ft::FaultEnv env;
+      options.env = &env;
+      auto opened = DB::Open(options);
+      ASSERT_TRUE(opened.ok());
+      Crawler crawler(platform_, opened.value().db.get());
+      first = env.io_points();
+      auto crawled = crawler.EnsureChat(*video_id_);
+      ASSERT_TRUE(crawled.ok() && crawled.value());
+      last = env.io_points();
+    }
+    // One append and one flush (or sync), not one per message.
+    ASSERT_GE(last - first, 1u);
+    EXPECT_LE(last - first, 2u);
+    const auto full = FullChat();
+    ASSERT_GT(full.size(), 2000u);
+
+    // k == last crashes right after the crawl returned: all of it stays.
+    for (uint64_t k = first; k <= last; ++k) {
+      ft::FaultEnv env;
+      options.env = &env;
+      env.CrashAt(k);
+      bool acked = false;
+      {
+        auto opened = DB::Open(options);
+        ASSERT_TRUE(opened.ok()) << "crash@" << k;
+        Crawler crawler(platform_, opened.value().db.get());
+        auto crawled = crawler.EnsureChat(*video_id_);
+        acked = crawled.ok();
+        EXPECT_EQ(acked, k == last) << "crash@" << k;
+        if (!acked) {
+          EXPECT_FALSE(opened.value().db->chat().HasVideo(*video_id_))
+              << "crash@" << k << ": a failed crawl indexed chat";
+        }
+        // Point `last` is the next write: the crash lands before close.
+        (void)opened.value().db->PutHighlight(MakeHighlight(0));
+      }
+      ASSERT_TRUE(env.crashed()) << "point " << k << " was never reached";
+      env.RecoverAfterCrash(model);
+      auto reopened = DB::Open(options);
+      ASSERT_TRUE(reopened.ok()) << "crash@" << k << ": "
+                                 << reopened.status().ToString();
+      Database* db = reopened.value().db.get();
+      if (db->chat().HasVideo(*video_id_)) {
+        EXPECT_EQ(db->chat().GetByVideo(*video_id_), full)
+            << "crash@" << k << ": recovery kept a prefix of the crawl";
+      }
+      if (acked) {
+        EXPECT_TRUE(db->chat().HasVideo(*video_id_))
+            << "crash@" << k << ": an acked crawl was lost";
+      }
+      ExpectFirstVisitServesOracle(db, k);
+    }
+  }
+
+  static sim::Platform* platform_;
+  static std::string* video_id_;
+  static core::Lightor* lightor_;
+};
+
+sim::Platform* CrawlAtomicityTest::platform_ = nullptr;
+std::string* CrawlAtomicityTest::video_id_ = nullptr;
+core::Lightor* CrawlAtomicityTest::lightor_ = nullptr;
+
+TEST_F(CrawlAtomicityTest, ProcessCrashKeepsNoneOrAllOfTheChat) {
+  EnumerateCrawlCrashes(/*sync_on_flush=*/false, ft::CrashModel::kProcess);
+}
+
+TEST_F(CrawlAtomicityTest, PowerLossKeepsNoneOrAllOfTheChat) {
+  EnumerateCrawlCrashes(/*sync_on_flush=*/true, ft::CrashModel::kPowerLoss);
+}
+
+// A write error partway through the batch leaves a torn frame in the
+// kernel: the log wedges, nothing is indexed, and the visit fails with the
+// error instead of publishing dots. Recovery truncates the torn bytes and
+// the next first visit serves the DetectBatch dots.
+TEST_F(CrawlAtomicityTest, WriteErrorMidBatchWedgesAndPublishesNothing) {
+  auto* errors = obs::Registry::Global().GetCounter(
+      "lightor_storage_write_errors_total", {{"log", "chat"}});
+  for (uint64_t offset : {0u, 1u}) {  // the append, then the flush
+    ft::FaultEnv env;
+    OpenOptions options;
+    options.directory = "db";
+    options.env = &env;
+    const uint64_t errors_before = errors->value();
+    {
+      auto opened = DB::Open(options);
+      ASSERT_TRUE(opened.ok());
+      Database* db = opened.value().db.get();
+      auto server = MakeServer(db);
+      env.InjectAt(env.io_points() + offset, ft::FaultKind::kEnospc);
+      auto visit = server->OnPageVisit({*video_id_, "viewer"});
+      ASSERT_FALSE(visit.ok()) << "offset " << offset;
+      EXPECT_TRUE(visit.status().IsIoError()) << visit.status().ToString();
+      EXPECT_EQ(errors->value(), errors_before + 1);
+      EXPECT_FALSE(db->chat().HasVideo(*video_id_));
+      EXPECT_FALSE(db->highlights().HasVideo(*video_id_));
+      EXPECT_FALSE(server->GetHighlights(*video_id_).ok());
+      // Wedged: a retry fails too rather than appending behind the tear.
+      EXPECT_FALSE(server->OnPageVisit({*video_id_, "viewer"}).ok());
+      EXPECT_FALSE(db->chat().HasVideo(*video_id_));
+    }
+    if (offset == 1) {
+      // The failed flush moved part of the frame to the kernel.
+      EXPECT_GT(env.ReadFileBytes("db/chat.log").size(), 0u);
+    }
+    env.RecoverAfterCrash(ft::CrashModel::kProcess);
+    auto reopened = DB::Open(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened.value().stats.torn_bytes_truncated > 0, offset == 1);
+    EXPECT_FALSE(reopened.value().db->chat().HasVideo(*video_id_));
+    ExpectFirstVisitServesOracle(reopened.value().db.get(), offset);
+  }
 }
 
 }  // namespace

@@ -195,6 +195,48 @@ TEST_F(LogTest, CloseFlushesBatchedAppends) {
   EXPECT_EQ(count, 1);
 }
 
+// A frame sealed outside the log is byte-identical to what Append writes,
+// and replays the same, whether it goes through the write buffer or (past
+// the buffer's size) straight to the file.
+TEST_F(LogTest, SealedFrameMatchesAppend) {
+  for (size_t size : {size_t{0}, size_t{13}, size_t{300000}}) {
+    std::vector<uint8_t> payload(size);
+    for (size_t i = 0; i < size; ++i) payload[i] = static_cast<uint8_t>(i * 7);
+    Encoder frame(AppendLog::kFrameHeaderSize + size);
+    frame.PutU32(0);
+    frame.PutU32(0);
+    for (uint8_t b : payload) frame.PutU8(b);
+    const std::vector<uint8_t> sealed = AppendLog::SealFrame(std::move(frame));
+
+    const std::string appended_path = path_ + ".appended";
+    {
+      AppendLog a, b;
+      ASSERT_TRUE(a.Open(appended_path).ok());
+      ASSERT_TRUE(b.Open(path_).ok());
+      ASSERT_TRUE(a.Append(Bytes("before")).ok());
+      ASSERT_TRUE(b.Append(Bytes("before")).ok());
+      ASSERT_TRUE(a.Append(payload).ok());
+      ASSERT_TRUE(b.AppendFrame(sealed).ok());
+      ASSERT_TRUE(a.Append(Bytes("after")).ok());
+      ASSERT_TRUE(b.Append(Bytes("after")).ok());
+    }
+    const auto read_all = [](const std::string& p) {
+      std::ifstream in(p, std::ios::binary);
+      return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+    };
+    EXPECT_EQ(read_all(path_), read_all(appended_path)) << size;
+    std::vector<std::vector<uint8_t>> seen;
+    ASSERT_TRUE(AppendLog::ReplayFile(path_, [&](const std::vector<uint8_t>& p) {
+                  seen.push_back(p);
+                }).ok());
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_EQ(seen[1], payload);
+    EXPECT_EQ(seen[2], Bytes("after"));
+    std::filesystem::remove(path_);
+    std::filesystem::remove(appended_path);
+  }
+}
+
 TEST_F(LogTest, LargePayloadRoundTrip) {
   std::vector<uint8_t> big(1 << 20);
   for (size_t i = 0; i < big.size(); ++i) {
