@@ -49,10 +49,10 @@ void PartA(const sim::LabeledVideo& video) {
 
   // Per-highlight delays: burst peak lag behind the highlight start.
   std::vector<double> delays;
+  const auto timestamps = core::Timestamps(sim::ToCoreMessages(video.chat));
   for (const auto& h : video.truth.highlights) {
     const common::Interval search(h.span.start, h.span.end + 60.0);
-    std::vector<core::Message> messages = sim::ToCoreMessages(video.chat);
-    delays.push_back(core::FindMessagePeak(messages, search) - h.span.start);
+    delays.push_back(core::FindMessagePeak(timestamps, search) - h.span.start);
   }
   std::printf(
       "per-highlight burst-peak delay: median %.1f s (q25 %.1f, q75 %.1f)\n\n",

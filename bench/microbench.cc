@@ -87,10 +87,10 @@ void BM_MessageSimilarity(benchmark::State& state) {
 BENCHMARK(BM_MessageSimilarity);
 
 void BM_FindMessagePeak(benchmark::State& state) {
-  const auto& messages = BenchMessages();
+  const auto timestamps = core::Timestamps(BenchMessages());
   const common::Interval span(100.0, 200.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::FindMessagePeak(messages, span));
+    benchmark::DoNotOptimize(core::FindMessagePeak(timestamps, span));
   }
 }
 BENCHMARK(BM_FindMessagePeak);
@@ -126,23 +126,6 @@ void BM_InitializerDetect(benchmark::State& state) {
 }
 BENCHMARK(BM_InitializerDetect);
 
-// Batch one-shot reference for the replay-based Detect above: the gap
-// between the two is the cost of incremental bookkeeping.
-void BM_InitializerDetectBatch(benchmark::State& state) {
-  static core::HighlightInitializer* init = [] {
-    auto* model = new core::HighlightInitializer();
-    const auto corpus = sim::MakeCorpus(sim::GameType::kDota2, 1, 3031);
-    (void)model->Train({bench::ToTraining(corpus[0])});
-    return model;
-  }();
-  const auto& messages = BenchMessages();
-  const double length = BenchVideo().truth.meta.length;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(init->DetectBatch(messages, length, 5));
-  }
-}
-BENCHMARK(BM_InitializerDetectBatch);
-
 // Live-ingest throughput: messages/sec through a fresh streaming engine
 // (items_processed), with per-message latency implied by the mean.
 void BM_StreamingIngest(benchmark::State& state) {
@@ -174,7 +157,7 @@ void BM_StreamingProvisional(benchmark::State& state) {
     return model;
   }();
   core::StreamingInitializer engine(init);
-  (void)engine.IngestAll(BenchMessages());
+  (void)engine.IngestBatch(BenchMessages());
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.Provisional(5));
   }

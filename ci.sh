@@ -268,8 +268,9 @@ fi
 # buffer-heavy work (log framing, batched chat records, torn-tail
 # truncation, crash-point enumeration), the serving tests drive the
 # first-visit crawl and the platform lookups it reads through, and the
-# JSON reader and HTTP parser decode every untrusted body: run their
-# tests under AddressSanitizer + UBSan.
+# JSON reader and HTTP parser decode every untrusted body, and the
+# Initializer tests drive Detect and the live engine's rolling window
+# state: run their tests under AddressSanitizer + UBSan.
 if [ "${SKIP_ASAN:-0}" != "1" ]; then
   echo "== address+ub sanitizer: storage + fault + recovery + wire tests ($ASAN_BUILD_DIR) =="
   cmake -B "$ASAN_BUILD_DIR" -S . -DLIGHTOR_SANITIZE=address,undefined \
@@ -280,8 +281,9 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
       storage_webservice_test storage_faults_test storage_checkpoint_test \
       serving_recovery_test serving_server_test serving_stream_test \
       sim_platform_test property_test hotpath_diff_test \
+      core_streaming_test core_initializer_test \
       net_json_test net_http_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
-      -R '^(storage_|serving_recovery|serving_server_test$|serving_stream_test$|sim_platform_test$|property|hotpath_diff|net_json|net_http)'
+      -R '^(storage_|serving_recovery|serving_server_test$|serving_stream_test$|sim_platform_test$|property|hotpath_diff|core_streaming_test$|core_initializer_test$|net_json|net_http)'
 fi
 echo "ci: OK"

@@ -10,56 +10,24 @@
 
 namespace lightor::core {
 
-namespace {
-
-inline common::Seconds BurstTimestampOf(const Message& m) {
-  return m.timestamp;
-}
-inline common::Seconds BurstTimestampOf(common::Seconds t) { return t; }
-
-/// Shared body of both ComputeBurstFeatures overloads — the streaming
-/// engine feeds bare timestamps and must observe the exact doubles the
-/// batch Message path produces.
-template <typename T>
-BurstFeatures ComputeBurstFeaturesImpl(const std::vector<T>& items,
-                                       const common::Interval& interval) {
+BurstFeatures ComputeBurstFeatures(
+    const std::vector<common::Seconds>& timestamps,
+    const common::Interval& interval) {
   BurstFeatures f;
-  const auto lo = std::lower_bound(
-      items.begin(), items.end(), interval.start,
-      [](const T& item, common::Seconds v) {
-        return BurstTimestampOf(item) < v;
-      });
-  const auto hi = std::lower_bound(
-      lo, items.end(), interval.end,
-      [](const T& item, common::Seconds v) {
-        return BurstTimestampOf(item) < v;
-      });
+  const auto lo =
+      std::lower_bound(timestamps.begin(), timestamps.end(), interval.start);
+  const auto hi = std::lower_bound(lo, timestamps.end(), interval.end);
   const size_t n = static_cast<size_t>(hi - lo);
   f.message_count = static_cast<double>(n);
   if (n == 0) return f;
   double mean = 0.0;
-  for (auto it = lo; it != hi; ++it) mean += BurstTimestampOf(*it);
+  for (auto it = lo; it != hi; ++it) mean += *it;
   mean /= static_cast<double>(n);
   double var = 0.0;
-  for (auto it = lo; it != hi; ++it) {
-    var += (BurstTimestampOf(*it) - mean) * (BurstTimestampOf(*it) - mean);
-  }
+  for (auto it = lo; it != hi; ++it) var += (*it - mean) * (*it - mean);
   f.burst_spread = std::sqrt(var / static_cast<double>(n));
-  f.peak_offset = FindMessagePeak(items, interval) - interval.start;
+  f.peak_offset = FindMessagePeak(timestamps, interval) - interval.start;
   return f;
-}
-
-}  // namespace
-
-BurstFeatures ComputeBurstFeatures(const std::vector<Message>& messages,
-                                   const common::Interval& interval) {
-  return ComputeBurstFeaturesImpl(messages, interval);
-}
-
-BurstFeatures ComputeBurstFeatures(
-    const std::vector<common::Seconds>& timestamps,
-    const common::Interval& interval) {
-  return ComputeBurstFeaturesImpl(timestamps, interval);
 }
 
 AdjustmentModel::AdjustmentModel(AdjustmentOptions options)

@@ -32,10 +32,11 @@ struct BurstFeatures {
   }
 };
 
-/// Computes burst features for a discussion interval. `messages` must be
-/// sorted by timestamp.
-BurstFeatures ComputeBurstFeatures(const std::vector<Message>& messages,
-                                   const common::Interval& interval);
+/// Computes burst features for a discussion interval. `timestamps` must
+/// be sorted (see `Timestamps`).
+BurstFeatures ComputeBurstFeatures(
+    const std::vector<common::Seconds>& timestamps,
+    const common::Interval& interval);
 
 /// Timestamp-only overload for the streaming engine (which keeps
 /// timestamps but not texts); bit-identical to the Message overload for

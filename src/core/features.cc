@@ -4,7 +4,6 @@
 
 #include <cassert>
 
-#include "common/parallel.h"
 #include "common/stats.h"
 #include "text/embedding.h"
 #include "text/similarity.h"
@@ -94,8 +93,8 @@ text::TokenizedMessages WindowFeaturizer::TokenizeAll(
 }
 
 WindowFeatures WindowFeaturizer::ComputeFromIds(
-    const text::TokenizedMessages& tokenized,
-    const SlidingWindow& window) const {
+    const text::TokenizedMessages& tokenized, const SlidingWindow& window,
+    text::StreamingSetSimilarity& similarity) const {
   assert(similarity_backend_ == SimilarityBackend::kBagOfWords);
   WindowFeatures f;
   const size_t n = window.message_count();
@@ -109,7 +108,7 @@ WindowFeatures WindowFeaturizer::ComputeFromIds(
   }
   f.message_length = total_words / static_cast<double>(n);
   if (n < 2) return f;
-  text::StreamingSetSimilarity similarity;
+  similarity.Reset();
   for (size_t i = window.first_message; i < window.last_message; ++i) {
     similarity.AddMessage(tokenized.ids(i));
   }
@@ -120,21 +119,22 @@ WindowFeatures WindowFeaturizer::ComputeFromIds(
 std::vector<WindowFeatures> WindowFeaturizer::ComputeAll(
     const std::vector<Message>& messages,
     const std::vector<SlidingWindow>& windows) const {
-  // Windows are independent, so fan out across a pool; per-index output
-  // slots keep the result deterministic. For the bag-of-words backend the
-  // whole log is tokenized and interned once up front and the workers
-  // share the read-only id arrays; other backends re-tokenize per window
-  // through the legacy string path.
-  std::vector<WindowFeatures> out(windows.size());
+  // For the bag-of-words backend the whole log is tokenized and interned
+  // once, and one scorer serves every window (a reset is an epoch bump,
+  // not a re-zeroed vocabulary-sized table). Other backends re-tokenize
+  // per window through the string path.
+  std::vector<WindowFeatures> out;
+  out.reserve(windows.size());
   if (similarity_backend_ == SimilarityBackend::kBagOfWords) {
     const text::TokenizedMessages tokenized = TokenizeAll(messages);
-    common::ParallelFor(windows.size(), [&](size_t i) {
-      out[i] = ComputeFromIds(tokenized, windows[i]);
-    });
+    text::StreamingSetSimilarity similarity;
+    for (const SlidingWindow& window : windows) {
+      out.push_back(ComputeFromIds(tokenized, window, similarity));
+    }
   } else {
-    common::ParallelFor(windows.size(), [&](size_t i) {
-      out[i] = Compute(messages, windows[i]);
-    });
+    for (const SlidingWindow& window : windows) {
+      out.push_back(Compute(messages, window));
+    }
   }
   return out;
 }

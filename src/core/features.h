@@ -6,6 +6,7 @@
 #include "core/message.h"
 #include "core/window.h"
 #include "ml/scaler.h"
+#include "text/streaming_similarity.h"
 #include "text/token_ids.h"
 #include "text/tokenizer.h"
 
@@ -68,12 +69,15 @@ class WindowFeaturizer {
   /// Features of one window over pre-tokenized ids. Bit-exact with the
   /// string Compute for the bag-of-words backend (window-local first-seen
   /// id order and every reduction order are preserved); requires
-  /// similarity_backend() == kBagOfWords.
+  /// similarity_backend() == kBagOfWords. `similarity` is scratch, reset
+  /// here, so one scorer's remap table serves every window.
   WindowFeatures ComputeFromIds(const text::TokenizedMessages& tokenized,
-                                const SlidingWindow& window) const;
+                                const SlidingWindow& window,
+                                text::StreamingSetSimilarity& similarity) const;
 
-  /// Features of every window. Uses the interned id path for the
-  /// bag-of-words backend and the legacy string path otherwise.
+  /// Features of every window, computed serially on the caller's thread.
+  /// Uses the interned id path for the bag-of-words backend and the
+  /// legacy string path otherwise.
   std::vector<WindowFeatures> ComputeAll(
       const std::vector<Message>& messages,
       const std::vector<SlidingWindow>& windows) const;

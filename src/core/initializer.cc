@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "core/streaming.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -119,10 +118,11 @@ common::Status HighlightInitializer::Train(
 }
 
 BurstFeatures HighlightInitializer::FeaturesAroundPeak(
-    const std::vector<Message>& messages, common::Seconds peak) const {
+    const std::vector<common::Seconds>& timestamps,
+    common::Seconds peak) const {
   const double half = options_.window.size;
   return ComputeBurstFeatures(
-      messages, common::Interval(std::max(0.0, peak - half), peak + half));
+      timestamps, common::Interval(std::max(0.0, peak - half), peak + half));
 }
 
 common::Status HighlightInitializer::LearnAdjustment(
@@ -131,12 +131,13 @@ common::Status HighlightInitializer::LearnAdjustment(
   // its discussion period plus the burst-shape features around it.
   std::vector<AdjustmentObservation> observations;
   for (const auto& video : videos) {
+    const auto timestamps = Timestamps(video.messages);
     for (const auto& h : video.highlights) {
       const common::Interval discussion(
           h.start, h.start + 15.0 + options_.discussion_lag);
       AdjustmentObservation obs;
-      obs.peak = FindMessagePeak(video.messages, discussion);
-      obs.features = FeaturesAroundPeak(video.messages, obs.peak);
+      obs.peak = FindMessagePeak(timestamps, discussion);
+      obs.features = FeaturesAroundPeak(timestamps, obs.peak);
       obs.highlight = h;
       observations.push_back(obs);
     }
@@ -157,6 +158,17 @@ common::Status HighlightInitializer::LearnAdjustment(
   return common::Status::OK();
 }
 
+void HighlightInitializer::Predict(
+    std::vector<SlidingWindow>& windows,
+    const std::vector<WindowFeatures>& raw) const {
+  assert(raw.size() == windows.size());
+  WindowsScoredCounter().Increment(windows.size());
+  const auto rows = NormalizeFeatures(raw, options_.feature_set);
+  for (size_t i = 0; i < windows.size(); ++i) {
+    windows[i].probability = model_.PredictProbability(rows[i]);
+  }
+}
+
 std::vector<SlidingWindow> HighlightInitializer::ScoreWindows(
     const std::vector<Message>& messages,
     common::Seconds video_length) const {
@@ -164,12 +176,7 @@ std::vector<SlidingWindow> HighlightInitializer::ScoreWindows(
   obs::ScopedSpan span("initializer.ScoreWindows");
   obs::ScopedTimer timer(&ScanLatencyHistogram());
   auto windows = GenerateWindows(messages, video_length, options_.window);
-  WindowsScoredCounter().Increment(windows.size());
-  const auto raw = featurizer_.ComputeAll(messages, windows);
-  const auto rows = NormalizeFeatures(raw, options_.feature_set);
-  for (size_t i = 0; i < windows.size(); ++i) {
-    windows[i].probability = model_.PredictProbability(rows[i]);
-  }
+  Predict(windows, featurizer_.ComputeAll(messages, windows));
   return windows;
 }
 
@@ -215,49 +222,24 @@ std::vector<SlidingWindow> HighlightInitializer::TopKWindows(
   return picked;
 }
 
-std::vector<RedDot> HighlightInitializer::Detect(
-    const std::vector<Message>& messages, common::Seconds video_length,
-    size_t k) const {
-  obs::ScopedSpan span("initializer.Detect");
-  assert(MessagesSorted(messages));
-  // Thin replay over the incremental engine — the batch entry point and
-  // the live path share one implementation (proven equivalent to
-  // DetectBatch by the streaming differential test).
-  StreamingInitializer engine(this);
-  for (const auto& m : messages) {
-    // Messages at/after the declared video end fit in no window, but
-    // their timestamps still feed the adjustment stage's burst features.
-    const common::Status st = m.timestamp < video_length
-                                  ? engine.Ingest(m)
-                                  : engine.RecordTailTimestamp(m.timestamp);
-    (void)st;
-    assert(st.ok());
-  }
-  auto dots = engine.Finalize(video_length, k);
-  assert(dots.ok());
-  if (!dots.ok()) return {};
-  LIGHTOR_LOG(Debug) << "initializer: " << dots.value().size()
-                     << " red dots from " << messages.size()
-                     << " messages over " << video_length << "s";
-  return std::move(dots).value();
-}
-
-std::vector<RedDot> HighlightInitializer::DetectBatch(
-    const std::vector<Message>& messages, common::Seconds video_length,
-    size_t k) const {
-  obs::ScopedSpan span("initializer.DetectBatch");
-  const auto top = TopKWindows(ScoreWindows(messages, video_length), k);
+std::vector<RedDot> HighlightInitializer::SelectDots(
+    std::vector<SlidingWindow> windows, const std::vector<WindowFeatures>& raw,
+    const std::vector<common::Seconds>& timestamps, size_t k) const {
+  assert(trained());
+  obs::ScopedTimer timer(&ScanLatencyHistogram());
+  Predict(windows, raw);
+  const auto top = TopKWindows(std::move(windows), k);
   std::vector<RedDot> dots;
   dots.reserve(top.size());
   for (const auto& w : top) {
     RedDot dot;
     dot.window = w.span;
     dot.score = w.probability;
-    dot.peak = FindMessagePeak(messages, w.span);
+    dot.peak = FindMessagePeak(timestamps, w.span);
     if (options_.adjustment_kind == AdjustmentKind::kRegression &&
         adjustment_model_.trained()) {
       dot.position = adjustment_model_.PredictStart(
-          dot.peak, FeaturesAroundPeak(messages, dot.peak));
+          dot.peak, FeaturesAroundPeak(timestamps, dot.peak));
     } else {
       dot.position = std::max(0.0, dot.peak - adjustment_c_);
     }
@@ -265,10 +247,29 @@ std::vector<RedDot> HighlightInitializer::DetectBatch(
     dots.push_back(dot);
   }
   RedDotsCounter().Increment(dots.size());
-  LIGHTOR_LOG(Debug) << "initializer (batch): " << dots.size()
-                     << " red dots from " << messages.size()
-                     << " messages over " << video_length << "s";
   return dots;
+}
+
+std::vector<RedDot> HighlightInitializer::Detect(
+    const std::vector<Message>& messages, common::Seconds video_length,
+    size_t k) const {
+  obs::ScopedSpan span("initializer.Detect");
+  assert(MessagesSorted(messages));
+  auto windows = GenerateWindows(messages, video_length, options_.window);
+  const auto raw = featurizer_.ComputeAll(messages, windows);
+  // Messages at/after the video end fit in no window, but their
+  // timestamps still feed the adjustment stage's burst features.
+  auto dots = SelectDots(std::move(windows), raw, Timestamps(messages), k);
+  LIGHTOR_LOG(Debug) << "initializer: " << dots.size() << " red dots from "
+                     << messages.size() << " messages over " << video_length
+                     << "s";
+  return dots;
+}
+
+std::vector<RedDot> HighlightInitializer::DetectBatch(
+    const std::vector<Message>& messages, common::Seconds video_length,
+    size_t k) const {
+  return Detect(messages, video_length, k);
 }
 
 }  // namespace lightor::core

@@ -81,17 +81,25 @@ class HighlightInitializer {
                                           common::Seconds video_length) const;
 
   /// Full Algorithm 1: top-k windows (respecting min_separation), peaks,
-  /// and adjusted red-dot positions, ordered by descending score.
-  /// Implemented as a thin replay over the incremental StreamingInitializer
-  /// (core/streaming.h); returns exactly what `DetectBatch` returns.
+  /// and adjusted red-dot positions, ordered by descending score. Runs
+  /// serially on the caller's thread: windows, features over the interned
+  /// log, then `SelectDots`.
   std::vector<RedDot> Detect(const std::vector<Message>& messages,
                              common::Seconds video_length, size_t k) const;
 
-  /// The original one-shot batch implementation, kept as the reference the
-  /// streaming replay is differential-tested against.
+  /// Forwards to `Detect`; kept for the callers that still name it.
   std::vector<RedDot> DetectBatch(const std::vector<Message>& messages,
                                   common::Seconds video_length,
                                   size_t k) const;
+
+  /// The scoring tail of Algorithm 1, shared by `Detect` and the live
+  /// engine: normalize `raw` (the features of the de-overlapped `windows`)
+  /// within the video, predict, take the top k under δ-separation, and
+  /// place each dot at its peak in `timestamps`, adjusted.
+  std::vector<RedDot> SelectDots(std::vector<SlidingWindow> windows,
+                                 const std::vector<WindowFeatures>& raw,
+                                 const std::vector<common::Seconds>& timestamps,
+                                 size_t k) const;
 
   /// Selects the top-k scored windows subject to the δ-separation rule
   /// (exposed for evaluation of the prediction stage in isolation).
@@ -120,10 +128,15 @@ class HighlightInitializer {
 
   /// Burst features in a fixed-width interval around a peak (the input
   /// the regression adjustment conditions on; exposed for analysis).
-  BurstFeatures FeaturesAroundPeak(const std::vector<Message>& messages,
-                                   common::Seconds peak) const;
+  BurstFeatures FeaturesAroundPeak(
+      const std::vector<common::Seconds>& timestamps,
+      common::Seconds peak) const;
 
  private:
+  /// Normalizes `raw` within the video and sets each window's probability.
+  void Predict(std::vector<SlidingWindow>& windows,
+               const std::vector<WindowFeatures>& raw) const;
+
   /// Trains the adjustment model on (peak, features, highlight)
   /// observations collected from the training videos.
   common::Status LearnAdjustment(const std::vector<TrainingVideo>& videos);

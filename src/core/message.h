@@ -17,6 +17,16 @@ struct Message {
   std::string text;
 };
 
+/// Every message's timestamp, in order: the input of peak finding and the
+/// burst features.
+inline std::vector<common::Seconds> Timestamps(
+    const std::vector<Message>& messages) {
+  std::vector<common::Seconds> out;
+  out.reserve(messages.size());
+  for (const Message& m : messages) out.push_back(m.timestamp);
+  return out;
+}
+
 /// A play record: a user played the video continuously over `span` — the
 /// `play(s, e)` unit of the Highlight Extractor.
 struct Play {

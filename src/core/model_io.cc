@@ -95,6 +95,12 @@ common::Status SaveInitializer(const HighlightInitializer& initializer,
     return common::Status::NotSupported(
         "SaveInitializer: only the constant adjustment variant serializes");
   }
+  if (initializer.options().similarity_backend !=
+      SimilarityBackend::kBagOfWords) {
+    return common::Status::NotSupported(
+        "SaveInitializer: only the bag-of-words similarity backend "
+        "serializes");
+  }
   std::ofstream out(path);
   if (!out.is_open()) {
     return common::Status::IoError("cannot open for writing: " + path);

@@ -24,7 +24,9 @@ namespace lightor::core {
 /// The type-classifier file is analogous ("lightor-classifier v1").
 
 /// Writes a trained initializer (options + LR parameters + adjustment
-/// constant). Fails when untrained or on I/O errors.
+/// constant). Fails when untrained or on I/O errors, and returns
+/// NotSupported for what the format cannot record: the regression
+/// adjustment and any similarity backend but bag-of-words.
 common::Status SaveInitializer(const HighlightInitializer& initializer,
                                const std::string& path);
 

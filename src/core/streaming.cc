@@ -7,8 +7,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "text/embedding.h"
-#include "text/tfidf.h"
 
 namespace lightor::core {
 
@@ -50,43 +48,15 @@ obs::Histogram& StreamFinalizeLatency() {
   return *histogram;
 }
 
-// The streaming scorer feeds the same lightor_core_* series the batch
-// pipeline registers (the registry interns by name), so Detect's observable
-// behavior is unchanged now that it replays through this engine.
-obs::Counter& CoreWindowsScoredCounter() {
-  static obs::Counter* const counter = obs::Registry::Global().GetCounter(
-      "lightor_core_windows_scored_total");
-  return *counter;
-}
-
-obs::Histogram& CoreScanLatencyHistogram() {
-  static obs::Histogram* const histogram = obs::Registry::Global().GetHistogram(
-      "lightor_core_scan_latency_seconds", obs::Histogram::LatencyBounds());
-  return *histogram;
-}
-
-obs::Counter& CoreRedDotsCounter() {
-  static obs::Counter* const counter =
-      obs::Registry::Global().GetCounter("lightor_core_red_dots_total");
-  return *counter;
-}
-
-obs::Histogram& CoreAdjustmentShiftHistogram() {
-  static obs::Histogram* const histogram = obs::Registry::Global().GetHistogram(
-      "lightor_core_adjustment_shift_seconds",
-      {0.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0});
-  return *histogram;
-}
-
 }  // namespace
 
 StreamingInitializer::StreamingInitializer(
     const HighlightInitializer* initializer)
     : initializer_(initializer),
-      tokenizer_(initializer->featurizer().tokenizer_options()),
-      bow_backend_(initializer->options().similarity_backend ==
-                   SimilarityBackend::kBagOfWords) {
+      tokenizer_(initializer->featurizer().tokenizer_options()) {
   assert(initializer_ != nullptr && initializer_->trained());
+  assert(initializer_->options().similarity_backend ==
+         SimilarityBackend::kBagOfWords);
 }
 
 common::Status StreamingInitializer::Ingest(const Message& message) {
@@ -107,42 +77,29 @@ common::Status StreamingInitializer::Ingest(const Message& message) {
         "StreamingInitializer::Ingest: out-of-order timestamp");
   }
   AdvanceWindows(message.timestamp);
-  PendingMessage pm;
-  if (!bow_backend_) pm.text = message.text;
-  if (bow_backend_ && !open_.empty()) {
+  double word_count = 0.0;
+  if (open_.empty()) {
+    word_count = static_cast<double>(tokenizer_.CountWords(message.text));
+  } else {
     // One pass: whitespace word count and interned ids together. The ids
     // land in a reused scratch buffer and every open window consumes the
     // same span — no per-window tokenization, hashing, or string copies.
     token_scratch_.clear();
-    pm.word_count = static_cast<double>(
+    word_count = static_cast<double>(
         tokenizer_.TokenizeToIds(message.text, vocabulary_, token_scratch_));
     const text::TokenSpan tokens(token_scratch_);
     for (auto& open : open_) {
       ++open.message_count;
-      open.total_words += pm.word_count;
+      open.total_words += word_count;
       open.similarity.AddMessage(tokens);
     }
-  } else {
-    pm.word_count = static_cast<double>(tokenizer_.CountWords(message.text));
-    for (auto& open : open_) {
-      ++open.message_count;
-      open.total_words += pm.word_count;
-    }
   }
-  pending_.push_back(std::move(pm));
+  pending_words_.push_back(word_count);
   timestamps_.push_back(message.timestamp);
   ++stats_.messages_ingested;
   stats_.watermark = message.timestamp;
   StreamMessagesCounter().Increment();
   DropConsumedPending();
-  return common::Status::OK();
-}
-
-common::Status StreamingInitializer::IngestAll(
-    const std::vector<Message>& messages) {
-  for (const auto& m : messages) {
-    LIGHTOR_RETURN_IF_ERROR(Ingest(m));
-  }
   return common::Status::OK();
 }
 
@@ -223,44 +180,20 @@ WindowFeatures StreamingInitializer::FeaturesFor(const OpenWindow& open,
     // in arrival order, the order the batch featurizer sums in.
     double total_words = 0.0;
     for (size_t i = 0; i < count; ++i) {
-      total_words += pending_[base + i].word_count;
+      total_words += pending_words_[base + i];
     }
     f.message_length = total_words / static_cast<double>(count);
   }
   // A single message is trivially "similar to itself"; 0, as in batch.
-  if (count < 2) return f;
-  if (bow_backend_) {
-    f.message_similarity = open.similarity.PrefixValue(count);
-    return f;
-  }
-  std::vector<std::string> texts;
-  texts.reserve(count);
-  for (size_t i = 0; i < count; ++i) texts.push_back(pending_[base + i].text);
-  const text::TokenizerOptions& topts =
-      initializer_->featurizer().tokenizer_options();
-  switch (initializer_->options().similarity_backend) {
-    case SimilarityBackend::kBagOfWords:
-      break;  // handled incrementally above
-    case SimilarityBackend::kTfIdf:
-      f.message_similarity = text::TfIdfSetSimilarity(texts, topts);
-      break;
-    case SimilarityBackend::kEmbedding: {
-      const text::HashingEmbedder embedder(32, 17, topts);
-      f.message_similarity = text::EmbeddingSetSimilarity(texts, embedder);
-      break;
-    }
-    case SimilarityBackend::kJaccard:
-      f.message_similarity = text::JaccardSetSimilarity(texts, topts);
-      break;
-  }
+  if (count >= 2) f.message_similarity = open.similarity.PrefixValue(count);
   return f;
 }
 
 void StreamingInitializer::DropConsumedPending() {
   const size_t keep_from =
       open_.empty() ? stats_.messages_ingested : open_.front().first_message;
-  while (pending_base_ < keep_from && !pending_.empty()) {
-    pending_.pop_front();
+  while (pending_base_ < keep_from && !pending_words_.empty()) {
+    pending_words_.pop_front();
     ++pending_base_;
   }
 }
@@ -306,7 +239,7 @@ common::Result<std::vector<RedDot>> StreamingInitializer::Finalize(
   }
   open_.clear();
   auto dots = ScoreAndSelect(all, k);
-  pending_.clear();
+  pending_words_.clear();
   StreamFinalizeCounter().Increment();
   return dots;
 }
@@ -314,12 +247,10 @@ common::Result<std::vector<RedDot>> StreamingInitializer::Finalize(
 std::vector<RedDot> StreamingInitializer::ScoreAndSelect(
     const std::vector<ClosedWindow>& closed, size_t k) const {
   obs::ScopedSpan span("streaming.ScoreAndSelect");
-  obs::ScopedTimer timer(&CoreScanLatencyHistogram());
   std::vector<SlidingWindow> candidates;
   candidates.reserve(closed.size());
   for (const auto& c : closed) candidates.push_back(c.window);
   auto windows = DeduplicateOverlapping(std::move(candidates));
-  CoreWindowsScoredCounter().Increment(windows.size());
   // Match each surviving window's raw features back by start: both lists
   // are sorted by start and the deduped set is a subset of `closed`.
   std::vector<WindowFeatures> raw;
@@ -333,37 +264,7 @@ std::vector<RedDot> StreamingInitializer::ScoreAndSelect(
            closed[j].window.span.start == w.span.start);
     raw.push_back(closed[j].features);
   }
-  const auto rows =
-      NormalizeFeatures(raw, initializer_->options().feature_set);
-  for (size_t i = 0; i < windows.size(); ++i) {
-    windows[i].probability =
-        initializer_->model().PredictProbability(rows[i]);
-  }
-  const auto top = initializer_->TopKWindows(std::move(windows), k);
-  const InitializerOptions& opts = initializer_->options();
-  std::vector<RedDot> dots;
-  dots.reserve(top.size());
-  for (const auto& w : top) {
-    RedDot dot;
-    dot.window = w.span;
-    dot.score = w.probability;
-    dot.peak = FindMessagePeak(timestamps_, w.span);
-    if (opts.adjustment_kind == AdjustmentKind::kRegression &&
-        initializer_->adjustment_model().trained()) {
-      const double half = opts.window.size;
-      dot.position = initializer_->adjustment_model().PredictStart(
-          dot.peak,
-          ComputeBurstFeatures(
-              timestamps_, common::Interval(std::max(0.0, dot.peak - half),
-                                            dot.peak + half)));
-    } else {
-      dot.position = std::max(0.0, dot.peak - initializer_->adjustment_c());
-    }
-    CoreAdjustmentShiftHistogram().Observe(dot.peak - dot.position);
-    dots.push_back(dot);
-  }
-  CoreRedDotsCounter().Increment(dots.size());
-  return dots;
+  return initializer_->SelectDots(std::move(windows), raw, timestamps_, k);
 }
 
 }  // namespace lightor::core

@@ -2,7 +2,6 @@
 #define LIGHTOR_CORE_STREAMING_H_
 
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "common/interval.h"
@@ -30,11 +29,14 @@ struct StreamingStats {
   common::Seconds watermark = 0.0;  ///< highest accepted timestamp
 };
 
-/// Incremental counterpart of `HighlightInitializer::Detect`: accepts chat
-/// messages one at a time during a live broadcast, maintains rolling
-/// per-window state, and scores windows as they close — so provisional red
-/// dots are available mid-stream and the final dots exactly match what the
-/// batch pipeline computes over the finished log.
+/// The live-ingest engine: accepts a broadcast's chat messages one at a
+/// time, maintains rolling per-window state, and scores windows as they
+/// close — so provisional red dots are available mid-stream and the final
+/// dots exactly match what `HighlightInitializer::Detect` computes over
+/// the finished log. Recorded videos never come through here; only live
+/// ingest is incremental. Bag-of-words similarity only (the paper's
+/// feature, and the only backend a model file records); the constructor
+/// asserts it.
 ///
 /// How the batch semantics are preserved:
 ///
@@ -49,13 +51,14 @@ struct StreamingStats {
 ///     `text::StreamingSetSimilarity` instead of re-tokenizing the window.
 ///   * Closed windows keep only their span, message range, and raw
 ///     features; every message's timestamp is retained (8 bytes each) so
-///     peak finding and the adjustment stage see the batch inputs, while
-///     texts are retained only for the few still-open windows.
+///     peak finding and the adjustment stage see the batch inputs, and a
+///     word count is retained only for messages of still-open windows.
 ///   * `Finalize` clips still-open windows at the declared video length,
-///     then runs the identical de-overlap → normalize → predict → top-k →
-///     peak → adjustment tail the batch `Detect` runs. Per-video feature
-///     normalization is global, which is why provisional scores are
-///     provisional: they normalize over the windows seen so far.
+///     de-overlaps, and hands the survivors to
+///     `HighlightInitializer::SelectDots`, the one scoring tail `Detect`
+///     also runs. Per-video feature normalization is global, which is why
+///     provisional scores are provisional: they normalize over the windows
+///     seen so far.
 ///
 /// Not thread-safe; callers (e.g. serving) provide their own striping.
 class StreamingInitializer {
@@ -69,9 +72,6 @@ class StreamingInitializer {
   /// the engine state untouched. FailedPrecondition once finalized.
   common::Status Ingest(const Message& message);
 
-  /// Ingests a batch, stopping at the first error.
-  common::Status IngestAll(const std::vector<Message>& messages);
-
   /// Ingests a batch, counting instead of stopping: an out-of-order
   /// message is tallied as rejected (the per-message `Ingest` contract)
   /// and the rest proceed, so the tally equals what per-message calls
@@ -80,8 +80,8 @@ class StreamingInitializer {
   common::Result<IngestCounts> IngestBatch(
       const std::vector<Message>& messages);
 
-  /// Records the timestamp of a message that lies at/after the video end
-  /// (used by the batch replay): such a message can fall inside no window,
+  /// Records the timestamp of a message that lies at/after the video end:
+  /// such a message can fall inside no window,
   /// but its timestamp still feeds the adjustment stage's burst features,
   /// matching the batch pipeline. No further `Ingest` is accepted after
   /// the first tail timestamp.
@@ -95,8 +95,8 @@ class StreamingInitializer {
   /// Closes the remaining windows at `video_length` and returns the final
   /// red dots; one-shot (FailedPrecondition on reuse). InvalidArgument if
   /// `video_length` would cut into an already-closed window (it must be at
-  /// least the watermark in live use). Equals `DetectBatch` run over the
-  /// same accepted messages.
+  /// least the watermark in live use). Equals `Detect` run over the same
+  /// accepted messages.
   common::Result<std::vector<RedDot>> Finalize(common::Seconds video_length,
                                                size_t k);
 
@@ -106,22 +106,16 @@ class StreamingInitializer {
   size_t open_windows() const { return open_.size(); }
 
  private:
-  /// A message retained while at least one window holding it is open.
-  struct PendingMessage {
-    double word_count = 0.0;
-    std::string text;  ///< retained for non-BoW similarity backends only
-  };
-
   /// Rolling state of one open candidate window.
   struct OpenWindow {
     common::Interval span;       ///< [start, start + size)
     size_t first_message = 0;    ///< global index of its first message
     size_t message_count = 0;
     double total_words = 0.0;
-    text::StreamingSetSimilarity similarity;  ///< BoW backend state
+    text::StreamingSetSimilarity similarity;  ///< bag-of-words state
   };
 
-  /// A closed candidate: span, message range, raw features. Texts gone.
+  /// A closed candidate: span, message range, raw features.
   struct ClosedWindow {
     SlidingWindow window;
     WindowFeatures features;
@@ -136,9 +130,8 @@ class StreamingInitializer {
   /// smaller count (finalize clip) recomputes over the retained prefix.
   WindowFeatures FeaturesFor(const OpenWindow& open, size_t count) const;
 
-  /// The batch tail (de-overlap, normalize, predict, top-k, peaks,
-  /// adjustment) over closed candidates — byte-for-byte the same
-  /// operations `DetectBatch` performs.
+  /// De-overlaps the closed candidates and runs the shared scoring tail
+  /// (`HighlightInitializer::SelectDots`) over the survivors.
   std::vector<RedDot> ScoreAndSelect(const std::vector<ClosedWindow>& closed,
                                      size_t k) const;
 
@@ -146,7 +139,6 @@ class StreamingInitializer {
 
   const HighlightInitializer* initializer_;
   text::Tokenizer tokenizer_;
-  bool bow_backend_ = true;
 
   /// Per-video vocabulary: each message is tokenized and interned exactly
   /// once; open windows consume TokenSpan views of the shared id scratch,
@@ -161,8 +153,9 @@ class StreamingInitializer {
 
   /// All accepted timestamps (windowed, then tail), for peaks and bursts.
   std::vector<common::Seconds> timestamps_;
-  /// Messages of still-open windows; global index = pending_base_ + i.
-  std::deque<PendingMessage> pending_;
+  /// Word counts of still-open windows' messages; global index =
+  /// pending_base_ + i.
+  std::deque<double> pending_words_;
   size_t pending_base_ = 0;
 
   StreamingStats stats_;

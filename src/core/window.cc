@@ -17,42 +17,12 @@ bool MessagesSorted(const std::vector<Message>& messages) {
 
 namespace {
 
-/// Extracts a timestamp from either element type the overloads accept.
-inline common::Seconds TimestampOf(const Message& m) { return m.timestamp; }
-inline common::Seconds TimestampOf(common::Seconds t) { return t; }
-
-/// Index of the first element with timestamp >= t.
-template <typename T>
-size_t LowerBound(const std::vector<T>& items, common::Seconds t) {
+/// Index of the first message with timestamp >= t.
+size_t LowerBound(const std::vector<Message>& messages, common::Seconds t) {
   const auto it = std::lower_bound(
-      items.begin(), items.end(), t,
-      [](const T& item, common::Seconds v) { return TimestampOf(item) < v; });
-  return static_cast<size_t>(it - items.begin());
-}
-
-/// One implementation behind both FindMessagePeak overloads: identical
-/// operations in identical order, so Message-based batch runs and
-/// timestamp-based streaming runs produce the same doubles.
-template <typename T>
-common::Seconds FindMessagePeakImpl(const std::vector<T>& items,
-                                    const common::Interval& span) {
-  const double length = span.Length();
-  if (length <= 0.0) return span.start;
-  const size_t n_bins = static_cast<size_t>(std::ceil(length)) + 1;
-  std::vector<double> bins(n_bins, 0.0);
-  const size_t first = LowerBound(items, span.start);
-  const size_t last = LowerBound(items, span.end);
-  if (first == last) return span.Center();
-  for (size_t i = first; i < last; ++i) {
-    const size_t bin = std::min(
-        n_bins - 1,
-        static_cast<size_t>(TimestampOf(items[i]) - span.start));
-    bins[bin] += 1.0;
-  }
-  const std::vector<double> smooth = common::GaussianSmooth(bins, 2.0);
-  const size_t peak_bin = static_cast<size_t>(
-      std::max_element(smooth.begin(), smooth.end()) - smooth.begin());
-  return span.start + static_cast<double>(peak_bin) + 0.5;
+      messages.begin(), messages.end(), t,
+      [](const Message& m, common::Seconds v) { return m.timestamp < v; });
+  return static_cast<size_t>(it - messages.begin());
 }
 
 }  // namespace
@@ -107,16 +77,26 @@ std::vector<SlidingWindow> GenerateWindows(const std::vector<Message>& messages,
       GenerateCandidateWindows(messages, video_length, options));
 }
 
-common::Seconds FindMessagePeak(const std::vector<Message>& messages,
-                                const common::Interval& span) {
-  assert(MessagesSorted(messages));
-  return FindMessagePeakImpl(messages, span);
-}
-
 common::Seconds FindMessagePeak(const std::vector<common::Seconds>& timestamps,
                                 const common::Interval& span) {
   assert(std::is_sorted(timestamps.begin(), timestamps.end()));
-  return FindMessagePeakImpl(timestamps, span);
+  const double length = span.Length();
+  if (length <= 0.0) return span.start;
+  const size_t n_bins = static_cast<size_t>(std::ceil(length)) + 1;
+  std::vector<double> bins(n_bins, 0.0);
+  const auto first =
+      std::lower_bound(timestamps.begin(), timestamps.end(), span.start);
+  const auto last = std::lower_bound(first, timestamps.end(), span.end);
+  if (first == last) return span.Center();
+  for (auto it = first; it != last; ++it) {
+    const size_t bin =
+        std::min(n_bins - 1, static_cast<size_t>(*it - span.start));
+    bins[bin] += 1.0;
+  }
+  const std::vector<double> smooth = common::GaussianSmooth(bins, 2.0);
+  const size_t peak_bin = static_cast<size_t>(
+      std::max_element(smooth.begin(), smooth.end()) - smooth.begin());
+  return span.start + static_cast<double>(peak_bin) + 0.5;
 }
 
 }  // namespace lightor::core

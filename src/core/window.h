@@ -50,17 +50,10 @@ std::vector<SlidingWindow> GenerateWindows(const std::vector<Message>& messages,
                                            common::Seconds video_length,
                                            const WindowOptions& options);
 
-/// Finds the message-count peak inside `span`: messages are binned at 1 s,
-/// Gaussian-smoothed (sigma 2 s), and the highest bin's center is
-/// returned. Falls back to the span center when the range holds no
-/// messages. `messages` must be sorted by timestamp.
-common::Seconds FindMessagePeak(const std::vector<Message>& messages,
-                                const common::Interval& span);
-
-/// Timestamp-only overload for the streaming engine, which retains every
-/// message's timestamp but drops texts once a window closes. Shares the
-/// implementation with the Message overload, so the result is
-/// bit-identical for equal timestamp sequences.
+/// Finds the message-count peak inside `span`: the messages' timestamps
+/// are binned at 1 s, Gaussian-smoothed (sigma 2 s), and the highest bin's
+/// center is returned. Falls back to the span center when the range holds
+/// no messages. `timestamps` must be sorted (see `Timestamps`).
 common::Seconds FindMessagePeak(const std::vector<common::Seconds>& timestamps,
                                 const common::Interval& span);
 

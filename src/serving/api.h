@@ -124,6 +124,12 @@ struct ServerOptions {
       return common::Status::InvalidArgument("ServerOptions: null db");
     if (lightor == nullptr)
       return common::Status::InvalidArgument("ServerOptions: null lightor");
+    // Live ingest runs the incremental engine, which has only the
+    // bag-of-words similarity feature.
+    if (lightor->initializer().options().similarity_backend !=
+        core::SimilarityBackend::kBagOfWords)
+      return common::Status::InvalidArgument(
+          "ServerOptions: similarity backend other than bag-of-words");
     if (top_k == 0)
       return common::Status::InvalidArgument("ServerOptions: top_k == 0");
     if (num_shards == 0)

@@ -196,16 +196,21 @@ HighlightServer::VideoState* HighlightServer::FindOrLoadState(
     return &it->second;
   }
   // First touch this process (or only a seeded watermark so far): pull
-  // the published state from the database, if any.
+  // the published state from the database, if any. The version resumes
+  // where the last process published (a log written before versions were
+  // recorded has none: 1).
   std::vector<storage::HighlightRecord> records;
+  uint64_t version = 1;
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
     if (!options_.db->highlights().HasVideo(video_id)) return nullptr;
     records = options_.db->highlights().GetLatest(video_id);
+    version = std::max<uint64_t>(
+        version, options_.db->highlights().Version(video_id));
   }
   VideoState& state = shard.videos[video_id];  // keeps a seeded watermark
   auto snapshot = std::make_shared<Snapshot>();
-  snapshot->version = 1;
+  snapshot->version = version;
   snapshot->records = std::move(records);
   state.snapshot = std::move(snapshot);
   return &state;
@@ -256,9 +261,8 @@ common::Result<HighlightServer::VideoState*> HighlightServer::InitializeVideo(
   snapshot->records = RecordsFromDots(video_id, dots.value());
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
-    for (const auto& rec : snapshot->records) {
-      LIGHTOR_RETURN_IF_ERROR(options_.db->PutHighlight(rec));
-    }
+    LIGHTOR_RETURN_IF_ERROR(options_.db->PublishHighlights(
+        video_id, snapshot->records, snapshot->version));
   }
   VideoState& state = shard.videos[video_id];
   state.snapshot = std::move(snapshot);
@@ -533,6 +537,7 @@ common::Result<FinalizeStreamResponse> HighlightServer::FinalizeStream(
   // the lock. Readers keep being served the last provisional snapshot.
   Shard& shard = ShardFor(req.video_id);
   std::unique_ptr<core::StreamingInitializer> engine;
+  uint64_t version = 1;  // of the final snapshot; nothing else publishes
   {
     auto lk = LockShard(shard);
     auto it = shard.videos.find(req.video_id);
@@ -544,6 +549,9 @@ common::Result<FinalizeStreamResponse> HighlightServer::FinalizeStream(
     }
     engine = std::move(it->second.stream);
     it->second.stream_since_publish = 0;
+    if (it->second.snapshot != nullptr) {
+      version = it->second.snapshot->version + 1;
+    }
   }
 
   // Resolve the authoritative length: the caller's, else the platform's
@@ -578,16 +586,14 @@ common::Result<FinalizeStreamResponse> HighlightServer::FinalizeStream(
   response.highlights = RecordsFromDots(req.video_id, dots.value());
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
-    for (const auto& rec : response.highlights) {
-      LIGHTOR_RETURN_IF_ERROR(options_.db->PutHighlight(rec));
-    }
+    LIGHTOR_RETURN_IF_ERROR(options_.db->PublishHighlights(
+        req.video_id, response.highlights, version));
   }
   {
     auto lk = LockShard(shard);
     VideoState& state = shard.videos[req.video_id];
     auto snapshot = std::make_shared<Snapshot>();
-    snapshot->version =
-        state.snapshot == nullptr ? 1 : state.snapshot->version + 1;
+    snapshot->version = version;
     snapshot->records = response.highlights;
     state.snapshot = std::move(snapshot);
     response.snapshot_version = state.snapshot->version;
@@ -776,14 +782,15 @@ common::Result<RefineReport> HighlightServer::RefinePass(
   auto pass =
       RunRefinePass(*options_.lightor, video_id, snapshot->records, sessions);
 
-  common::Status persist_status = common::Status::OK();
+  common::Status persist_status;
   {
     std::lock_guard<std::mutex> db_lock(db_mu_);
+    persist_status = options_.db->PublishHighlights(
+        video_id, pass.updated, snapshot->version + 1);
+  }
+  if (!persist_status.ok()) {
     for (size_t i = 0; i < pass.updated.size(); ++i) {
-      if (auto st = options_.db->PutHighlight(pass.updated[i]); !st.ok()) {
-        pass.report.dots[i].status = st;
-        persist_status = st;
-      }
+      pass.report.dots[i].status = persist_status;
     }
   }
 
@@ -793,7 +800,7 @@ common::Result<RefineReport> HighlightServer::RefinePass(
     auto lk = LockShard(shard);
     VideoState& state = shard.videos[video_id];
     auto next = std::make_shared<Snapshot>();
-    next->version = state.snapshot->version + 1;
+    next->version = snapshot->version + 1;  // as persisted above
     next->records = std::move(pass.all);
     state.snapshot = std::move(next);
     state.watermark = new_watermark;

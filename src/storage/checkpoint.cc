@@ -171,7 +171,8 @@ common::Result<CheckpointStats> WriteCheckpointImage(
   header.PutU64(interactions.current_generation());
   header.PutU64(chat.TotalRecords());
   header.PutU64(kept_interactions);
-  header.PutU64(latest.size());
+  const size_t n_highlights = latest.size() + highlights.versions().size();
+  header.PutU64(n_highlights);
   LIGHTOR_RETURN_IF_ERROR(image.Append(header.Release()));
 
   common::Status append_status = common::Status::OK();
@@ -193,13 +194,17 @@ common::Result<CheckpointStats> WriteCheckpointImage(
   for (const auto& rec : latest) {
     LIGHTOR_RETURN_IF_ERROR(image.Append(rec.Encode()));
   }
+  for (const auto& [video_id, version] : highlights.versions()) {
+    LIGHTOR_RETURN_IF_ERROR(
+        image.Append(EncodeHighlightVersion(video_id, version)));
+  }
   LIGHTOR_RETURN_IF_ERROR(image.Sync());
   image.Close();
 
   CheckpointStats stats;
   stats.lsn = lsn;
   stats.records_written = chat.TotalRecords() + kept_interactions +
-                          latest.size();
+                          n_highlights;
   stats.checkpoint_bytes = env->GetFileSize(path).value_or(0);
   return stats;
 }
@@ -277,9 +282,7 @@ common::Result<CheckpointImageStats> LoadCheckpointImage(
           }
         } else if (index <
                    header.n_chat + header.n_interactions + header.n_highlights) {
-          auto rec = HighlightRecord::Decode(payload);
-          if (rec.ok()) highlights.Put(std::move(rec).value());
-          else decode_status = rec.status();
+          decode_status = highlights.Apply(payload);
         } else {
           decode_status = common::Status::Corruption(
               "checkpoint has more records than its header counts: " + path);

@@ -104,7 +104,8 @@ struct CheckpointImageStats {
 /// highlight sections with counts in the header so a torn image is
 /// detected on load). The image is fsynced before this returns OK.
 /// Highlight dots collapse to their latest record — the checkpoint
-/// doubles as highlight-history compaction.
+/// doubles as highlight-history compaction — followed by each video's
+/// last publish version.
 common::Result<CheckpointStats> WriteCheckpointImage(
     Env* env, const std::string& path, const ChatStore& chat,
     const InteractionStore& interactions, const HighlightStore& highlights,

@@ -153,9 +153,8 @@ common::Result<Database::OpenResult> Database::Open(
        }},
       {db->highlight_log_, db->highlight_path_,
        [&](const std::vector<uint8_t>& bytes) {
-         auto rec = HighlightRecord::Decode(bytes);
-         if (rec.ok()) db->highlights_.Put(std::move(rec).value());
-         else if (replay_status.ok()) replay_status = rec.status();
+         auto st = db->highlights_.Apply(bytes);
+         if (!st.ok() && replay_status.ok()) replay_status = std::move(st);
        }},
   };
   for (const auto& entry : logs) {
@@ -231,6 +230,10 @@ common::Result<size_t> Database::CompactHighlights() {
     for (const auto& rec : latest) {
       LIGHTOR_RETURN_IF_ERROR(tmp.Append(rec.Encode()));
     }
+    for (const auto& [video_id, version] : highlights_.versions()) {
+      LIGHTOR_RETURN_IF_ERROR(
+          tmp.Append(EncodeHighlightVersion(video_id, version)));
+    }
   }
   highlight_log_.Close();
   if (auto st = env_->RenameFile(tmp_path, path); !st.ok()) {
@@ -297,6 +300,24 @@ common::Status Database::PutHighlight(const HighlightRecord& record) {
   highlights_.Put(record);
   ++lsn_;
   DbWritesCounter("highlights").Increment();
+  return common::Status::OK();
+}
+
+common::Status Database::PublishHighlights(
+    const std::string& video_id, const std::vector<HighlightRecord>& records,
+    uint64_t version) {
+  std::vector<std::vector<uint8_t>> payloads;
+  payloads.reserve(records.size() + 1);
+  for (const auto& rec : records) payloads.push_back(rec.Encode());
+  payloads.push_back(EncodeHighlightVersion(video_id, version));
+  if (auto st = highlight_log_.AppendAll(payloads); !st.ok()) {
+    DbWriteErrorsCounter("highlights").Increment();
+    return st;
+  }
+  for (const auto& rec : records) highlights_.Put(rec);
+  highlights_.SetVersion(video_id, version);
+  lsn_ += payloads.size();
+  DbWritesCounter("highlights").Increment(records.size());
   return common::Status::OK();
 }
 

@@ -115,6 +115,13 @@ class Database {
   common::Status PutChatBatch(ChatBatch batch);
   common::Status PutInteraction(const InteractionRecord& record);
   common::Status PutHighlight(const HighlightRecord& record);
+  /// Appends `records` (all of `video_id`) and their snapshot `version`
+  /// in one write and one flush; a reopened database reports the version
+  /// through `highlights().Version`. One LSN per payload; the writes
+  /// counter counts records.
+  common::Status PublishHighlights(const std::string& video_id,
+                                   const std::vector<HighlightRecord>& records,
+                                   uint64_t version);
 
   /// Batched-flush mode for the interaction log (the write-heavy session
   /// path): `PutInteraction` stops flushing per record and durability

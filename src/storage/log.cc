@@ -117,6 +117,20 @@ common::Status AppendLog::AppendFrame(const std::vector<uint8_t>& frame) {
   return AppendBytes(frame.data(), frame.size());
 }
 
+common::Status AppendLog::AppendAll(
+    const std::vector<std::vector<uint8_t>>& payloads) {
+  LIGHTOR_RETURN_IF_ERROR(CheckWritable());
+  std::vector<uint8_t> frames;
+  for (const auto& payload : payloads) {
+    Encoder header(kFrameHeaderSize);
+    header.PutU32(static_cast<uint32_t>(payload.size()));
+    header.PutU32(Crc32(payload.data(), payload.size()));
+    frames.insert(frames.end(), header.bytes().begin(), header.bytes().end());
+    frames.insert(frames.end(), payload.begin(), payload.end());
+  }
+  return AppendBytes(frames.data(), frames.size());
+}
+
 common::Status AppendLog::AppendBytes(const uint8_t* data, size_t size) {
   if (size > 0) {
     if (auto st = file_->Append(data, size); !st.ok()) {

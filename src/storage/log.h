@@ -96,6 +96,10 @@ class AppendLog {
   /// `Append`. Replay cannot tell the two apart.
   common::Status AppendFrame(const std::vector<uint8_t>& frame);
 
+  /// Appends `payloads` as consecutive records in one write, flushed once.
+  /// Replay sees what as many `Append` calls would have written.
+  common::Status AppendAll(const std::vector<std::vector<uint8_t>>& payloads);
+
   /// Pushes buffered appends to the kernel — or to the platter when
   /// `sync_on_flush` is set. No-op when nothing is pending.
   common::Status Flush();

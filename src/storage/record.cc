@@ -143,4 +143,13 @@ common::Result<HighlightRecord> HighlightRecord::Decode(
   return rec;
 }
 
+std::vector<uint8_t> EncodeHighlightVersion(const std::string& video_id,
+                                            uint64_t version) {
+  Encoder enc;
+  enc.PutU32(kHighlightVersionTag);
+  enc.PutString(video_id);
+  enc.PutU64(version);
+  return enc.Release();
+}
+
 }  // namespace lightor::storage

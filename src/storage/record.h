@@ -95,6 +95,15 @@ struct HighlightRecord {
                          const HighlightRecord&) = default;
 };
 
+/// A video's highlight publish version as one highlight-log payload:
+///   [u32 kHighlightVersionTag][string video_id][u64 version]
+/// A `HighlightRecord` payload starts with the u32 length of its video
+/// id, which is never the tag (the argument of `kChatBatchTag`).
+inline constexpr uint32_t kHighlightVersionTag = 0xFFFFFFFFu;
+
+std::vector<uint8_t> EncodeHighlightVersion(const std::string& video_id,
+                                            uint64_t version);
+
 }  // namespace lightor::storage
 
 #endif  // LIGHTOR_STORAGE_RECORD_H_

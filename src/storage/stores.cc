@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "obs/metrics.h"
+#include "storage/serialize.h"
 
 namespace lightor::storage {
 
@@ -193,6 +194,30 @@ InteractionStore::SessionsSince(const std::string& video_id,
 void HighlightStore::Put(HighlightRecord record) {
   dots_[{record.video_id, record.dot_index}].push_back(std::move(record));
   ++total_;
+}
+
+common::Status HighlightStore::Apply(const std::vector<uint8_t>& payload) {
+  Decoder dec(payload);
+  if (dec.GetU32().value_or(0) != kHighlightVersionTag) {
+    LIGHTOR_ASSIGN_OR_RETURN(HighlightRecord rec,
+                             HighlightRecord::Decode(payload));
+    Put(std::move(rec));
+    return common::Status::OK();
+  }
+  std::string video_id;
+  LIGHTOR_ASSIGN_OR_RETURN(video_id, dec.GetString());
+  uint64_t version = 0;
+  LIGHTOR_ASSIGN_OR_RETURN(version, dec.GetU64());
+  if (!dec.exhausted()) {
+    return common::Status::Corruption("highlight version: trailing bytes");
+  }
+  SetVersion(video_id, version);
+  return common::Status::OK();
+}
+
+uint64_t HighlightStore::Version(const std::string& video_id) const {
+  auto it = versions_.find(video_id);
+  return it == versions_.end() ? 0 : it->second;
 }
 
 std::vector<HighlightRecord> HighlightStore::GetLatest(

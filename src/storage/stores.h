@@ -118,10 +118,25 @@ class InteractionStore {
 };
 
 /// In-memory highlight state: latest record per (video, dot index), plus
-/// full history for inspection.
+/// full history for inspection, and each video's last publish version.
 class HighlightStore {
  public:
   void Put(HighlightRecord record);
+
+  /// Applies one highlight-log payload of either kind: a record or a
+  /// publish version (`kHighlightVersionTag`).
+  common::Status Apply(const std::vector<uint8_t>& payload);
+
+  /// Records that `video_id`'s snapshot was published at `version`.
+  void SetVersion(const std::string& video_id, uint64_t version) {
+    versions_[video_id] = version;
+  }
+  /// The last recorded publish version of a video; 0 when none was.
+  uint64_t Version(const std::string& video_id) const;
+  /// Every recorded publish version (checkpoint and compaction input).
+  const std::map<std::string, uint64_t>& versions() const {
+    return versions_;
+  }
 
   /// Latest state of every dot of a video, ordered by dot index.
   std::vector<HighlightRecord> GetLatest(const std::string& video_id) const;
@@ -143,8 +158,8 @@ class HighlightStore {
   /// Latest record of every dot across all videos (compaction input).
   std::vector<HighlightRecord> AllLatest() const;
 
-  /// Replaces the whole store content with `records` (one per dot) —
-  /// used after log compaction.
+  /// Replaces every dot's history with `records` (one per dot) — used
+  /// after log compaction. Publish versions are kept.
   void ResetFrom(std::vector<HighlightRecord> records);
 
  private:
@@ -152,6 +167,7 @@ class HighlightStore {
   std::map<std::pair<std::string, int32_t>, std::vector<HighlightRecord>>
       dots_;
   size_t total_ = 0;
+  std::map<std::string, uint64_t> versions_;
 };
 
 }  // namespace lightor::storage

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Cluster smoke test: boots a real 3-backend cluster behind the router
 # (separate processes via tools/cluster_up), drives it with the cluster
-# loadgen in differential mode, SIGKILLs one backend mid-burst and
-# restarts it, and asserts that
+# loadgen in differential mode, SIGKILLs one backend mid-burst (the
+# loadgen is held with SIGSTOP across the kill, so the crash always lands
+# in live traffic) and restarts it, and asserts that
 #   (a) the run's /highlights output is byte-identical to a
 #       single-process reference server replaying the accepted traffic,
 #   (b) the router absorbed the crash with retries (metric > 0), and
@@ -27,45 +28,55 @@ trap cleanup EXIT
 
 ROUTER_PORT=$(sh "$HARNESS" start 3)
 
-# A burst long enough that the mid-burst SIGKILL lands while requests
-# are still flowing. --live=0 keeps the mix to idempotent ops (visit /
-# session), which the loadgen may retry across the crash; --retry-503
-# absorbs both 503s and wire errors within its budget. The differential
-# reference is built under $TMP and replays the accepted traffic.
-"$LIGHTOR" loadgen --threads=4 --requests=600 --live=0 --retry-503 \
+# The burst. --live=0 keeps the mix to idempotent ops (visit / session),
+# which the loadgen may retry across the crash; --retry-503 absorbs both
+# 503s and wire errors within its budget. The differential reference is
+# built under $TMP and replays the accepted traffic.
+"$LIGHTOR" loadgen --threads=4 --requests=3000 --live=0 --retry-503 \
     --check --db="$TMP/check" --port="$ROUTER_PORT" \
     ${SLO:+--slo="$SLO"} \
     > "$TMP/loadgen.json" 2> "$TMP/loadgen.log" &
 LOADGEN_PID=$!
 
-sleep 0.3
+# The SIGKILL must land in live traffic whatever the speed of the
+# server, so the loadgen is frozen (SIGSTOP) as soon as the router has
+# forwarded its first requests, and only resumed once the victim is dead.
 # Kill the busiest backend: with few videos the ring can leave a backend
 # owning no keys, and SIGKILLing that one would prove nothing. The
-# per-backend router counters say who is actually serving traffic; wait
-# until the burst has visibly started before choosing.
+# per-backend router counters say who is actually serving traffic.
 VICTIM_ADDR=""
-for _ in $(seq 1 50); do
+for _ in $(seq 1 400); do
   "$LIGHTOR" curl --port="$ROUTER_PORT" --target=/metrics > "$TMP/mid.txt"
   VICTIM_ADDR=$(awk '/^lightor_cluster_requests_total\{backend=/ {
     addr = $0; sub(/.*backend="/, "", addr); sub(/".*/, "", addr)
     if ($NF + 0 > best) { best = $NF + 0; victim = addr }
   } END { print victim }' "$TMP/mid.txt")
   [ -n "$VICTIM_ADDR" ] && break
-  sleep 0.1
+  sleep 0.02
 done
+kill -STOP "$LOADGEN_PID"
+# A finished loadgen is a zombie until waited for; the burst must still
+# be running (stopped, state T) or the crash would land after it.
+case "$(ps -o stat= -p "$LOADGEN_PID")" in
+  T*) ;;
+  *) echo "the burst ended before the loadgen could be stopped" >&2; exit 1 ;;
+esac
 VICTIM=""
 for i in 1 2 3; do
   [ "127.0.0.1:$(cat "$CLUSTER_DIR/backend$i.port")" = "$VICTIM_ADDR" ] \
       && VICTIM=$i
 done
 if [ -z "$VICTIM" ]; then
+  kill -CONT "$LOADGEN_PID"
   echo "could not map victim address '$VICTIM_ADDR' to a backend" >&2
   exit 1
 fi
 sh "$HARNESS" kill "$VICTIM"
+kill -CONT "$LOADGEN_PID"
 # Hold the restart until the router provably retried the dead owner (its
 # retry budget rides out a much longer outage than this), so the
-# retries-metric assertion below cannot race the burst.
+# retries-metric assertion below cannot race the burst. The resumed burst
+# keeps flowing through the restart.
 for _ in $(seq 1 50); do
   "$LIGHTOR" curl --port="$ROUTER_PORT" --target=/metrics > "$TMP/mid.txt"
   RETRIES=$(awk '/^lightor_cluster_retries_total/ { sum += $NF } END { print sum + 0 }' \

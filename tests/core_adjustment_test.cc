@@ -22,7 +22,8 @@ std::vector<Message> MessagesAt(const std::vector<double>& times) {
 
 TEST(BurstFeaturesTest, CountSpreadAndPeak) {
   const auto messages = MessagesAt({10, 11, 12, 13, 14});
-  const auto f = ComputeBurstFeatures(messages, common::Interval(0, 25));
+  const auto f =
+      ComputeBurstFeatures(Timestamps(messages), common::Interval(0, 25));
   EXPECT_DOUBLE_EQ(f.message_count, 5.0);
   EXPECT_GT(f.burst_spread, 0.5);
   EXPECT_LT(f.burst_spread, 5.0);
@@ -32,7 +33,8 @@ TEST(BurstFeaturesTest, CountSpreadAndPeak) {
 
 TEST(BurstFeaturesTest, EmptyIntervalIsZeros) {
   const auto messages = MessagesAt({10.0});
-  const auto f = ComputeBurstFeatures(messages, common::Interval(50, 60));
+  const auto f =
+      ComputeBurstFeatures(Timestamps(messages), common::Interval(50, 60));
   EXPECT_DOUBLE_EQ(f.message_count, 0.0);
   EXPECT_DOUBLE_EQ(f.burst_spread, 0.0);
 }

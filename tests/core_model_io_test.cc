@@ -97,6 +97,21 @@ TEST_F(ModelIoTest, SaveRegressionVariantUnsupported) {
   EXPECT_TRUE(SaveInitializer(init, dir_ + "/x.txt").IsNotSupported());
 }
 
+// The file records no similarity backend, so a model fitted on another
+// feature would reload as bag-of-words with weights that do not fit it.
+TEST_F(ModelIoTest, SaveNonBagOfWordsBackendUnsupported) {
+  for (SimilarityBackend backend :
+       {SimilarityBackend::kTfIdf, SimilarityBackend::kEmbedding,
+        SimilarityBackend::kJaccard}) {
+    InitializerOptions opts;
+    opts.similarity_backend = backend;
+    const auto init = TrainInitializer(opts);
+    const std::string path = dir_ + "/x.txt";
+    EXPECT_TRUE(SaveInitializer(init, path).IsNotSupported());
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+}
+
 TEST_F(ModelIoTest, LoadMissingFileFails) {
   EXPECT_TRUE(LoadInitializer(dir_ + "/nope.txt").status().IsIoError());
 }

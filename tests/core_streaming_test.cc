@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "core/streaming.h"
 #include "sim/bridge.h"
 #include "sim/corpus.h"
+#include "testing/streaming_replay.h"
 #include "text/similarity.h"
 #include "text/tfidf.h"
 
@@ -22,7 +24,7 @@ TrainingVideo ToTraining(const sim::LabeledVideo& video) {
 }
 
 /// Exact (bitwise) red-dot equality — the differential contract is that
-/// the streaming replay produces the very doubles the batch path does.
+/// the live engine produces the very doubles `Detect` does.
 void ExpectSameDots(const std::vector<RedDot>& streaming,
                     const std::vector<RedDot>& batch) {
   ASSERT_EQ(streaming.size(), batch.size());
@@ -56,67 +58,63 @@ class StreamingDifferentialTest : public ::testing::Test {
 
 sim::Corpus* StreamingDifferentialTest::corpus_ = nullptr;
 
-TEST_F(StreamingDifferentialTest, DetectReplayMatchesBatchExactly) {
+TEST_F(StreamingDifferentialTest, ReplayMatchesDetectExactly) {
   const auto initializer = Trained({});
   for (size_t v = 1; v < corpus_->size(); ++v) {
     const auto& video = (*corpus_)[v];
     const auto messages = sim::ToCoreMessages(video.chat);
     const double length = video.truth.meta.length;
-    ExpectSameDots(initializer.Detect(messages, length, 5),
-                   initializer.DetectBatch(messages, length, 5));
+    ExpectSameDots(testing::StreamingReplay(initializer, messages, length, 5),
+                   initializer.Detect(messages, length, 5));
   }
 }
 
-TEST_F(StreamingDifferentialTest, MatchesBatchForEverySimilarityBackend) {
-  for (const auto backend :
-       {SimilarityBackend::kBagOfWords, SimilarityBackend::kTfIdf,
-        SimilarityBackend::kEmbedding, SimilarityBackend::kJaccard}) {
-    InitializerOptions options;
-    options.similarity_backend = backend;
-    const auto initializer = Trained(options);
-    const auto& video = (*corpus_)[2];
-    const auto messages = sim::ToCoreMessages(video.chat);
-    const double length = video.truth.meta.length;
-    ExpectSameDots(initializer.Detect(messages, length, 5),
-                   initializer.DetectBatch(messages, length, 5));
-  }
-}
-
-TEST_F(StreamingDifferentialTest, MatchesBatchWithRegressionAdjustment) {
+TEST_F(StreamingDifferentialTest, MatchesDetectWithRegressionAdjustment) {
   InitializerOptions options;
   options.adjustment_kind = AdjustmentKind::kRegression;
   const auto initializer = Trained(options);
   const auto& video = (*corpus_)[3];
   const auto messages = sim::ToCoreMessages(video.chat);
   const double length = video.truth.meta.length;
-  ExpectSameDots(initializer.Detect(messages, length, 5),
-                 initializer.DetectBatch(messages, length, 5));
+  ExpectSameDots(testing::StreamingReplay(initializer, messages, length, 5),
+                 initializer.Detect(messages, length, 5));
 }
 
-TEST_F(StreamingDifferentialTest, MatchesBatchWhenChatRunsPastVideoEnd) {
-  // Chat occasionally trails past the declared video length; the batch
-  // path clips windows at the end but still reads the trailing timestamps
-  // for burst features. The replay must agree.
+TEST_F(StreamingDifferentialTest, MatchesDetectWhenChatRunsPastVideoEnd) {
+  // Chat occasionally trails past the declared video length; Detect clips
+  // windows at the end but still reads the trailing timestamps for burst
+  // features. The replay must agree.
   const auto initializer = Trained({});
   const auto& video = (*corpus_)[1];
   const auto messages = sim::ToCoreMessages(video.chat);
   ASSERT_FALSE(messages.empty());
   const double truncated = messages.back().timestamp * 0.8;
-  ExpectSameDots(initializer.Detect(messages, truncated, 5),
-                 initializer.DetectBatch(messages, truncated, 5));
+  ExpectSameDots(testing::StreamingReplay(initializer, messages, truncated, 5),
+                 initializer.Detect(messages, truncated, 5));
 }
 
-TEST_F(StreamingDifferentialTest, ManualIngestFinalizeMatchesBatch) {
+TEST_F(StreamingDifferentialTest, BatchIngestFinalizeMatchesDetect) {
   const auto initializer = Trained({});
   const auto& video = (*corpus_)[4];
   const auto messages = sim::ToCoreMessages(video.chat);
   const double length = video.truth.meta.length;
   StreamingInitializer engine(&initializer);
-  ASSERT_TRUE(engine.IngestAll(messages).ok());
+  // Live ingest arrives in frames; cut the log into uneven ones.
+  size_t next = 0;
+  for (size_t frame = 1; next < messages.size(); frame = frame * 3 % 97 + 1) {
+    const size_t end = std::min(messages.size(), next + frame);
+    const std::vector<Message> batch(messages.begin() + next,
+                                     messages.begin() + end);
+    auto counts = engine.IngestBatch(batch);
+    ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+    EXPECT_EQ(counts.value().accepted, batch.size());
+    EXPECT_EQ(counts.value().rejected, 0u);
+    next = end;
+  }
   EXPECT_EQ(engine.stats().messages_ingested, messages.size());
   auto dots = engine.Finalize(length, 5);
   ASSERT_TRUE(dots.ok()) << dots.status().ToString();
-  ExpectSameDots(dots.value(), initializer.DetectBatch(messages, length, 5));
+  ExpectSameDots(dots.value(), initializer.Detect(messages, length, 5));
   EXPECT_TRUE(engine.finalized());
 }
 
@@ -143,10 +141,10 @@ TEST_F(StreamingDifferentialTest, EmptyChatYieldsNoDots) {
   auto dots = engine.Finalize(1000.0, 5);
   ASSERT_TRUE(dots.ok());
   EXPECT_TRUE(dots.value().empty());
-  ExpectSameDots(dots.value(), initializer.DetectBatch({}, 1000.0, 5));
+  ExpectSameDots(dots.value(), initializer.Detect({}, 1000.0, 5));
 }
 
-TEST_F(StreamingDifferentialTest, SingleMessageMatchesBatch) {
+TEST_F(StreamingDifferentialTest, SingleMessageMatchesDetect) {
   const auto initializer = Trained({});
   Message m;
   m.timestamp = 42.0;
@@ -156,7 +154,7 @@ TEST_F(StreamingDifferentialTest, SingleMessageMatchesBatch) {
   ASSERT_TRUE(engine.Ingest(m).ok());
   auto dots = engine.Finalize(1000.0, 5);
   ASSERT_TRUE(dots.ok());
-  ExpectSameDots(dots.value(), initializer.DetectBatch({m}, 1000.0, 5));
+  ExpectSameDots(dots.value(), initializer.Detect({m}, 1000.0, 5));
 }
 
 TEST_F(StreamingDifferentialTest, RejectsOutOfOrderTimestampAndContinues) {

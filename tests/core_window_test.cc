@@ -101,25 +101,28 @@ TEST(FindMessagePeakTest, FindsDensestSecond) {
   // Cluster at ~42 s, sparse elsewhere.
   const auto messages =
       MessagesAt({10, 20, 41.2, 41.5, 41.9, 42.1, 42.4, 42.8, 60});
-  const double peak = FindMessagePeak(messages, common::Interval(0, 80));
+  const double peak =
+      FindMessagePeak(Timestamps(messages), common::Interval(0, 80));
   EXPECT_NEAR(peak, 42.0, 3.0);
 }
 
 TEST(FindMessagePeakTest, EmptyRangeFallsBackToCenter) {
   const auto messages = MessagesAt({10.0});
-  const double peak = FindMessagePeak(messages, common::Interval(50, 70));
+  const double peak =
+      FindMessagePeak(Timestamps(messages), common::Interval(50, 70));
   EXPECT_DOUBLE_EQ(peak, 60.0);
 }
 
 TEST(FindMessagePeakTest, DegenerateSpan) {
   const auto messages = MessagesAt({10.0});
-  EXPECT_DOUBLE_EQ(FindMessagePeak(messages, common::Interval(5, 5)), 5.0);
+  EXPECT_DOUBLE_EQ(
+      FindMessagePeak(Timestamps(messages), common::Interval(5, 5)), 5.0);
 }
 
 TEST(FindMessagePeakTest, PeakInsideSpanBounds) {
   const auto messages = MessagesAt({10, 10.1, 10.2, 30, 30.1, 30.2, 30.3});
   const common::Interval span(25.0, 35.0);
-  const double peak = FindMessagePeak(messages, span);
+  const double peak = FindMessagePeak(Timestamps(messages), span);
   EXPECT_GE(peak, span.start);
   EXPECT_LE(peak, span.end);
   EXPECT_NEAR(peak, 30.3, 2.5);

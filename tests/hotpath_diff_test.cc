@@ -2,7 +2,8 @@
 /// token-id representation (Tokenizer::TokenizeToIds + Vocabulary +
 /// StreamingSetSimilarity + WindowFeaturizer::ComputeFromIds) must be
 /// bit-exact with the legacy string path it replaced, on randomized
-/// inputs, across every similarity backend and adjustment mode. These are
+/// inputs: the featurizer across every similarity backend, the live engine
+/// (bag-of-words) against Detect across both adjustment modes. These are
 /// the tests the hot-path benchmarks lean on: the bench only times the id
 /// path because this file proves it computes the same doubles.
 
@@ -14,9 +15,11 @@
 #include "common/rng.h"
 #include "core/features.h"
 #include "core/initializer.h"
+#include "core/streaming.h"
 #include "core/window.h"
 #include "sim/bridge.h"
 #include "sim/corpus.h"
+#include "testing/streaming_replay.h"
 #include "text/streaming_similarity.h"
 #include "text/token_ids.h"
 #include "text/tokenizer.h"
@@ -173,13 +176,15 @@ TEST_P(SeededHotpathTest, FeaturizerIdPathMatchesLegacyAllBackends) {
     const auto all = featurizer.ComputeAll(messages, windows);
     ASSERT_EQ(all.size(), windows.size());
     const auto tokenized = featurizer.TokenizeAll(messages);
+    text::StreamingSetSimilarity scratch;
     for (size_t w = 0; w < windows.size(); ++w) {
       const auto reference = featurizer.Compute(messages, windows[w]);
       EXPECT_EQ(all[w].message_number, reference.message_number);
       EXPECT_EQ(all[w].message_length, reference.message_length);
       EXPECT_EQ(all[w].message_similarity, reference.message_similarity);
       if (backend == core::SimilarityBackend::kBagOfWords) {
-        const auto from_ids = featurizer.ComputeFromIds(tokenized, windows[w]);
+        const auto from_ids =
+            featurizer.ComputeFromIds(tokenized, windows[w], scratch);
         EXPECT_EQ(from_ids.message_number, reference.message_number);
         EXPECT_EQ(from_ids.message_length, reference.message_length);
         EXPECT_EQ(from_ids.message_similarity, reference.message_similarity);
@@ -188,9 +193,9 @@ TEST_P(SeededHotpathTest, FeaturizerIdPathMatchesLegacyAllBackends) {
   }
 }
 
-/// End-to-end: the streaming engine (which now rides the id path) must
-/// produce the exact red dots of the batch detector for every similarity
-/// backend crossed with every adjustment mode.
+/// End-to-end: the live engine (which rides the id path) must produce the
+/// exact red dots of `Detect` under either adjustment mode, whether it is
+/// fed one message at a time or in ingest batches.
 class HotpathPipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -205,38 +210,52 @@ class HotpathPipelineTest : public ::testing::Test {
 
 sim::Corpus* HotpathPipelineTest::corpus_ = nullptr;
 
-TEST_F(HotpathPipelineTest, DetectMatchesBatchAcrossBackendsAndAdjustments) {
+void ExpectSameDots(const std::vector<core::RedDot>& streaming,
+                    const std::vector<core::RedDot>& detect) {
+  ASSERT_EQ(streaming.size(), detect.size());
+  for (size_t i = 0; i < streaming.size(); ++i) {
+    EXPECT_EQ(streaming[i].position, detect[i].position);
+    EXPECT_EQ(streaming[i].score, detect[i].score);
+    EXPECT_EQ(streaming[i].peak, detect[i].peak);
+    EXPECT_EQ(streaming[i].window.start, detect[i].window.start);
+    EXPECT_EQ(streaming[i].window.end, detect[i].window.end);
+  }
+}
+
+TEST_F(HotpathPipelineTest, StreamingMatchesDetectAcrossAdjustments) {
   core::TrainingVideo training;
   training.messages = sim::ToCoreMessages((*corpus_)[0].chat);
   training.video_length = (*corpus_)[0].truth.meta.length;
   for (const auto& h : (*corpus_)[0].truth.highlights) {
     training.highlights.push_back(h.span);
   }
-  for (const auto backend :
-       {core::SimilarityBackend::kBagOfWords, core::SimilarityBackend::kTfIdf,
-        core::SimilarityBackend::kEmbedding,
-        core::SimilarityBackend::kJaccard}) {
-    for (const auto adjustment :
-         {core::AdjustmentKind::kConstant, core::AdjustmentKind::kRegression}) {
-      core::InitializerOptions options;
-      options.similarity_backend = backend;
-      options.adjustment_kind = adjustment;
-      core::HighlightInitializer initializer(options);
-      ASSERT_TRUE(initializer.Train({training}).ok());
-      for (size_t v = 1; v < corpus_->size(); ++v) {
-        const auto messages = sim::ToCoreMessages((*corpus_)[v].chat);
-        const double length = (*corpus_)[v].truth.meta.length;
-        const auto streaming = initializer.Detect(messages, length, 5);
-        const auto batch = initializer.DetectBatch(messages, length, 5);
-        ASSERT_EQ(streaming.size(), batch.size());
-        for (size_t i = 0; i < streaming.size(); ++i) {
-          EXPECT_EQ(streaming[i].position, batch[i].position);
-          EXPECT_EQ(streaming[i].score, batch[i].score);
-          EXPECT_EQ(streaming[i].peak, batch[i].peak);
-          EXPECT_EQ(streaming[i].window.start, batch[i].window.start);
-          EXPECT_EQ(streaming[i].window.end, batch[i].window.end);
-        }
+  for (const auto adjustment :
+       {core::AdjustmentKind::kConstant, core::AdjustmentKind::kRegression}) {
+    core::InitializerOptions options;
+    options.adjustment_kind = adjustment;
+    core::HighlightInitializer initializer(options);
+    ASSERT_TRUE(initializer.Train({training}).ok());
+    for (size_t v = 1; v < corpus_->size(); ++v) {
+      const auto messages = sim::ToCoreMessages((*corpus_)[v].chat);
+      const double length = (*corpus_)[v].truth.meta.length;
+      const auto detect = initializer.Detect(messages, length, 5);
+      ExpectSameDots(testing::StreamingReplay(initializer, messages, length, 5),
+                     detect);
+
+      core::StreamingInitializer engine(&initializer);
+      std::vector<core::Message> windowed;
+      for (const auto& m : messages) {
+        if (m.timestamp < length) windowed.push_back(m);
       }
+      auto counts = engine.IngestBatch(windowed);
+      ASSERT_TRUE(counts.ok());
+      EXPECT_EQ(counts.value().accepted, windowed.size());
+      for (size_t i = windowed.size(); i < messages.size(); ++i) {
+        ASSERT_TRUE(engine.RecordTailTimestamp(messages[i].timestamp).ok());
+      }
+      auto dots = engine.Finalize(length, 5);
+      ASSERT_TRUE(dots.ok());
+      ExpectSameDots(dots.value(), detect);
     }
   }
 }

@@ -91,13 +91,6 @@ class ServingRecoveryTest : public ::testing::Test {
     return acked;
   }
 
-  /// The /highlights payload with the snapshot version normalized away
-  /// (restarts reset the version counter; the dots must not change).
-  static std::string ContentBytes(GetHighlightsResponse response) {
-    response.snapshot_version = 0;
-    return net::EncodeJson(response);
-  }
-
   ft::FaultEnv env_;
   std::unique_ptr<sim::Platform> platform_;
   std::unique_ptr<core::Lightor> lightor_;
@@ -106,11 +99,12 @@ class ServingRecoveryTest : public ::testing::Test {
 };
 
 // The cold-restart differential: initialize, refine, SIGKILL, reopen.
-// Two independent recovered servers must serve byte-identical /highlights
-// payloads, the recovered dots must equal the pre-crash refined dots, and
-// refinement must keep working after the restart.
+// Two independent recovered servers must serve /highlights payloads
+// byte-identical to the pre-crash one, snapshot version included (the
+// refine's publish version is durable), and refinement must keep working
+// after the restart.
 TEST_F(ServingRecoveryTest, ColdRestartServesByteIdenticalHighlights) {
-  std::string pre_crash_content;
+  std::string pre_crash_bytes;
   {
     auto db = OpenDb();
     auto server = MakeServer(db.get());
@@ -120,34 +114,25 @@ TEST_F(ServingRecoveryTest, ColdRestartServesByteIdenticalHighlights) {
     auto report = server->Refine(video_id_);
     ASSERT_TRUE(report.ok());
     ASSERT_GT(report.value().dots_updated, 0);
-    pre_crash_content = ContentBytes(server->GetHighlights(video_id_).value());
+    const auto got = server->GetHighlights(video_id_);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value().snapshot_version, 2u);
+    pre_crash_bytes = net::EncodeJson(got.value());
 
     // SIGKILL: no destructor gets to save anything. The zombie teardown
     // below runs against dead file handles.
     env_.RecoverAfterCrash(ft::CrashModel::kProcess);
   }
 
-  // Restart twice from the same surviving bytes: the responses must match
-  // byte for byte (including the snapshot version both reset to 1).
-  std::string restarted_bytes;
-  std::string restarted_content;
-  {
+  // Restart twice from the same surviving bytes.
+  for (int restart = 0; restart < 2; ++restart) {
     auto db = OpenDb();
     auto server = MakeServer(db.get());
     auto got = server->GetHighlights(video_id_);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got.value().snapshot_version, 1u);
-    restarted_bytes = net::EncodeJson(got.value());
-    restarted_content = ContentBytes(got.value());
+    EXPECT_EQ(net::EncodeJson(got.value()), pre_crash_bytes)
+        << "restart " << restart;
   }
-  {
-    auto db = OpenDb();
-    auto server = MakeServer(db.get());
-    auto got = server->GetHighlights(video_id_);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(net::EncodeJson(got.value()), restarted_bytes);
-  }
-  EXPECT_EQ(restarted_content, pre_crash_content);
 
   // The recovered server is not read-only: new sessions refine further.
   auto db = OpenDb();
@@ -158,7 +143,7 @@ TEST_F(ServingRecoveryTest, ColdRestartServesByteIdenticalHighlights) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().sessions_consumed, acked);
   EXPECT_GT(report.value().dots_updated, 0);
-  EXPECT_GT(server->GetHighlights(video_id_).value().snapshot_version, 1u);
+  EXPECT_EQ(server->GetHighlights(video_id_).value().snapshot_version, 3u);
 }
 
 // Sessions logged but never refined before the crash replay from the log
@@ -285,7 +270,7 @@ TEST_F(ServingRecoveryTest, SessionLoggingFailureMaps503OnTheWire) {
 // pass consumes exactly the replayed suffix sessions (the checkpoint
 // dropped the already-consumed ones; nothing is double-counted).
 TEST_F(ServingRecoveryTest, CheckpointedRestartReplaysOnlySuffix) {
-  std::string pre_crash_content;
+  std::string pre_crash_bytes;
   uint64_t suffix_acked = 0;
   size_t checkpoint_records = 0;
   {
@@ -304,7 +289,8 @@ TEST_F(ServingRecoveryTest, CheckpointedRestartReplaysOnlySuffix) {
 
     suffix_acked = LogSessions(server.get(), 2, 82);
     ASSERT_GT(suffix_acked, 0u);
-    pre_crash_content = ContentBytes(server->GetHighlights(video_id_).value());
+    pre_crash_bytes =
+        net::EncodeJson(server->GetHighlights(video_id_).value());
 
     env_.RecoverAfterCrash(ft::CrashModel::kProcess);  // SIGKILL
   }
@@ -324,8 +310,9 @@ TEST_F(ServingRecoveryTest, CheckpointedRestartReplaysOnlySuffix) {
   EXPECT_TRUE(info.bootstrapped);
   EXPECT_EQ(info.stats.checkpoint_gen, 1u);
 
-  EXPECT_EQ(ContentBytes(server->GetHighlights(video_id_).value()),
-            pre_crash_content);
+  // The checkpoint image carries the publish version too.
+  EXPECT_EQ(net::EncodeJson(server->GetHighlights(video_id_).value()),
+            pre_crash_bytes);
 
   // At-most-once across the restart: the video was refined pre-crash, so
   // the seeded watermark treats every replayed interaction as consumed

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serving/highlight_server.h"
 #include "sim/bridge.h"
 #include "sim/corpus.h"
@@ -116,6 +117,63 @@ void ExpectSameRecords(const std::vector<storage::HighlightRecord>& a,
     EXPECT_EQ(a[i].iteration, b[i].iteration) << "record " << i;
     EXPECT_EQ(a[i].converged, b[i].converged) << "record " << i;
   }
+}
+
+// A recorded first visit runs `Detect`, not the live engine: it leaves
+// the engine's series unchanged, while a live /ingest batch moves the
+// message count by exactly the messages it accepted.
+TEST_F(ServingStreamTest, RecordedFirstVisitIsNotLiveIngest) {
+  obs::Registry& registry = obs::Registry::Global();
+  const obs::Counter& messages =
+      *registry.GetCounter("lightor_stream_messages_total");
+  const obs::Counter& windows_closed =
+      *registry.GetCounter("lightor_stream_windows_closed_total");
+  const obs::Counter& finalized =
+      *registry.GetCounter("lightor_stream_finalize_total");
+  const obs::Histogram& ingest_seconds = *registry.GetHistogram(
+      "lightor_stream_ingest_seconds", obs::Histogram::LatencyBounds());
+  auto db = OpenDb(dir_);
+  auto server = HighlightServer::Create(BaseOptions(db.get()));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const uint64_t messages_before = messages.value();
+  const uint64_t closed_before = windows_closed.value();
+  const uint64_t finalized_before = finalized.value();
+  const uint64_t ingest_before = ingest_seconds.count();
+  auto visit = server.value()->OnPageVisit({video_id_, "u"});
+  ASSERT_TRUE(visit.ok()) << visit.status().ToString();
+  ASSERT_TRUE(visit.value().first_visit);
+  ASSERT_FALSE(visit.value().highlights.empty());
+  EXPECT_EQ(messages.value(), messages_before);
+  EXPECT_EQ(windows_closed.value(), closed_before);
+  EXPECT_EQ(finalized.value(), finalized_before);
+  EXPECT_EQ(ingest_seconds.count(), ingest_before);
+
+  // A live batch with one out-of-order message at its end.
+  IngestChatRequest req;
+  req.video_id = platform_->AllVideoIds()[1];
+  const auto chat = ChatOf(req.video_id);
+  ASSERT_GT(chat.size(), 60u);
+  req.messages.assign(chat.begin(), chat.begin() + 60);
+  ASSERT_LT(chat[0].timestamp, chat[59].timestamp);
+  req.messages.push_back(chat[0]);
+  auto ingested = server.value()->IngestChat(req);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_EQ(ingested.value().accepted, 60u);
+  EXPECT_EQ(ingested.value().rejected, 1u);
+  EXPECT_EQ(messages.value() - messages_before, ingested.value().accepted);
+}
+
+// Live ingest has only the bag-of-words engine, so a server refuses a
+// pipeline trained with any other similarity backend.
+TEST_F(ServingStreamTest, CreateRejectsNonBagOfWordsBackend) {
+  core::LightorOptions options;
+  options.initializer.similarity_backend = core::SimilarityBackend::kTfIdf;
+  const core::Lightor tfidf(options);
+  auto db = OpenDb(dir_);
+  ServerOptions opts = BaseOptions(db.get());
+  opts.lightor = Borrow<const core::Lightor>(&tfidf);
+  EXPECT_TRUE(HighlightServer::Create(opts).status().IsInvalidArgument());
 }
 
 // The acceptance criterion: a live-ingested video, once finalized, serves

@@ -252,6 +252,51 @@ TEST_F(CheckpointTest, CheckpointCollapsesHighlightHistory) {
   EXPECT_EQ(db->lsn(), 5u);
 }
 
+// A video's publish version survives log replay, highlight compaction and
+// a checkpoint, keeping the last one published per video; a video that
+// never published one reads 0.
+TEST_F(CheckpointTest, PublishVersionSurvivesReplayCompactionAndCheckpoint) {
+  {
+    auto opened = MustOpen();
+    auto& db = opened.db;
+    ASSERT_TRUE(db->PublishHighlights("v0", {MakeHighlight("v0", 0, 0)}, 1)
+                    .ok());
+    ASSERT_TRUE(db->PutHighlight(MakeHighlight("v1", 0, 0)).ok());
+    ASSERT_TRUE(db->PublishHighlights("v0", {MakeHighlight("v0", 0, 1)}, 2)
+                    .ok());
+    ASSERT_TRUE(db->PublishHighlights("v0", {}, 3).ok());  // no dot moved
+    EXPECT_EQ(db->lsn(), 6u);  // one per record, one per version
+    EXPECT_EQ(db->highlights().Version("v0"), 3u);
+    EXPECT_EQ(db->highlights().Version("v1"), 0u);
+    env_.RecoverAfterCrash(ft::CrashModel::kProcess);
+  }
+  {
+    auto opened = MustOpen();  // log replay
+    auto& db = opened.db;
+    EXPECT_EQ(opened.stats.records_replayed, 6u);
+    EXPECT_EQ(db->highlights().Version("v0"), 3u);
+    EXPECT_EQ(db->highlights().Version("v1"), 0u);
+    EXPECT_EQ(db->highlights().GetHistory("v0", 0).size(), 2u);
+    ASSERT_TRUE(db->CompactHighlights().ok());
+    env_.RecoverAfterCrash(ft::CrashModel::kProcess);
+  }
+  {
+    auto opened = MustOpen();  // the compacted log
+    auto& db = opened.db;
+    EXPECT_EQ(db->highlights().Version("v0"), 3u);
+    EXPECT_EQ(db->highlights().GetHistory("v0", 0).size(), 1u);
+    auto stats = db->Checkpoint();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats.value().records_written, 3u);  // two dots, one version
+    env_.RecoverAfterCrash(ft::CrashModel::kProcess);
+  }
+  auto opened = MustOpen();  // the checkpoint image
+  EXPECT_EQ(opened.stats.records_replayed, 0u);
+  EXPECT_EQ(opened.db->highlights().Version("v0"), 3u);
+  EXPECT_EQ(opened.db->highlights().Version("v1"), 0u);
+  EXPECT_EQ(opened.db->highlights().GetLatest("v0")[0].iteration, 1);
+}
+
 TEST_F(CheckpointTest, DropConsumedPolicyDropsOnlyRefinedVideos) {
   {
     auto opened = MustOpen(/*drop_consumed=*/true);

@@ -237,6 +237,30 @@ TEST_F(LogTest, SealedFrameMatchesAppend) {
   }
 }
 
+TEST_F(LogTest, AppendAllWritesWhatAppendsWould) {
+  const std::vector<std::vector<uint8_t>> payloads = {
+      Bytes("first"), {}, Bytes("third record")};
+  const std::string appended_path = path_ + ".appended";
+  {
+    AppendLog a, b;
+    ASSERT_TRUE(a.Open(appended_path).ok());
+    ASSERT_TRUE(b.Open(path_).ok());
+    for (const auto& payload : payloads) ASSERT_TRUE(a.Append(payload).ok());
+    ASSERT_TRUE(b.AppendAll(payloads).ok());
+  }
+  const auto read_all = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(read_all(path_), read_all(appended_path));
+  std::vector<std::vector<uint8_t>> seen;
+  ASSERT_TRUE(AppendLog::ReplayFile(path_, [&](const std::vector<uint8_t>& p) {
+                seen.push_back(p);
+              }).ok());
+  EXPECT_EQ(seen, payloads);
+  std::filesystem::remove(appended_path);
+}
+
 TEST_F(LogTest, LargePayloadRoundTrip) {
   std::vector<uint8_t> big(1 << 20);
   for (size_t i = 0; i < big.size(); ++i) {
